@@ -55,7 +55,7 @@ class RunConfig:
 def _parse_float(token, where):
     try:
         value = float(token)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseFailure(f"{where}: not a number: {token!r}") from exc
     if not math.isfinite(value):
         raise ParseFailure(f"{where}: NaN/Inf not admitted: {token!r}")
@@ -79,6 +79,8 @@ def load_matrix(path):
             rows, cols, data = payload["rows"], payload["cols"], payload["data"]
         except (KeyError, TypeError) as exc:
             raise ParseFailure(f"{path}: JSON matrix needs rows, cols, data") from exc
+        if not (_is_count(rows) and _is_count(cols) and isinstance(data, list)):
+            raise ParseFailure(f"{path}: rows and cols must be positive integers and data a list")
         if len(data) != rows * cols:
             raise ParseFailure(f"{path}: data length {len(data)} != rows*cols = {rows * cols}")
         values = [_parse_float(x, path) for x in data]
@@ -114,13 +116,29 @@ def load_points(path):
         except json.JSONDecodeError as exc:
             raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}") from exc
         if "points" in payload:
-            pts = payload["points"]
-        elif "segments" in payload:
-            return None, np.asarray(payload["segments"], dtype=float)
-        else:
-            raise ParseFailure(f"{path}: JSON needs a points or segments field")
-        return np.asarray([[_parse_float(x, path) for x in p] for p in pts]), None
+            return _point_rows(payload["points"], f"{path}: points"), None
+        if "segments" in payload:
+            segs = payload["segments"]
+            if not isinstance(segs, list) or not all(isinstance(s, list) and len(s) == 2 for s in segs):
+                raise ParseFailure(f"{path}: segments must be a list of [start, end] pairs")
+            ends = _point_rows([p for s in segs for p in s], f"{path}: segments")
+            return None, ends.reshape(len(segs), 2, -1)
+        raise ParseFailure(f"{path}: JSON needs a points or segments field")
     return load_matrix(path), None
+
+
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _point_rows(rows, where):
+    """Float array from a nonempty JSON list of equal-length coordinate lists."""
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ParseFailure(f"{where}: expected a nonempty list of coordinate lists")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ParseFailure(f"{where}: every point needs {width} coordinates")
+    return np.asarray([[_parse_float(x, where) for x in r] for r in rows])
 
 
 def matrix_to_dict(m):
@@ -143,6 +161,8 @@ def _fmt(x):
 
 
 def cmd_volume(args, cfg):
+    if args.mc_samples < 0:
+        raise ParseFailure(f"--mc-samples must be nonnegative, got {args.mc_samples}")
     matrix = load_matrix(args.matrix)
     z = Zonotope(matrix, cfg.tol)
     with warnings.catch_warnings():
@@ -284,17 +304,18 @@ def cmd_mesh(args, cfg):
 def off_mesh(z):
     """OFF text for a rank-3 zonotope: vertices then facet polygons (CCW)."""
     verts = z.vertices()
-    verts.sort(key=lambda p: tuple(p))
-    index_scale = max(float(np.abs(v).max()) for v in verts)
-    cut = 16.0 * z.tol.threshold(index_scale if index_scale else 1.0)
+    signs = z.vertex_sign_vectors()
     facets = z.geometric_facets()
     lines = ["OFF", f"{len(verts)} {len(facets)} 0"]
     for v in verts:
         lines.append(" ".join(_fmt(x) for x in v))
     for f in facets:
-        members = [
-            i for i, v in enumerate(verts) if abs(float(f.unit_normal @ v) - f.support) <= cut
+        # vertex S lies on the facet iff S minus the facet's columns is a side's sign set
+        sides = [
+            (frozenset(bf.generating.columns), frozenset(bf.translation_set))
+            for bf in f.constituents
         ]
+        members = [i for i, s in enumerate(signs) if any(s - cols == side for cols, side in sides)]
         u = f.unit_normal
         seed_axis = np.argmin(np.abs(u))
         b1 = np.zeros(3)

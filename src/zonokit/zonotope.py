@@ -3,6 +3,11 @@
 A zonotope is the column image of a unit cube, Z(A) = {A t : t in [0,1]^k}.
 Everything here is derived from the defining matrix; the Zonotope object is
 immutable and caches its derived structure on first use.
+
+Faces are keyed by column subsets: a generating face by its closed column
+set, a vertex A 1_S by its sign vector S. Vertices are enumerated from the
+bounding facets, recursively down to zonogons and segments, which have
+closed forms; no candidate point or linear program is involved.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ class BoundingFacet:
     translation: np.ndarray
     volume: float
     support: float
+
+    @property
+    def translation_set(self):
+        """Generators summed into the translation: this side's sign set."""
+        return self.positive_set if self.side == "plus" else self.negative_set
 
 
 @dataclass(eq=False)
@@ -328,48 +338,71 @@ class Zonotope:
 
     # -- vertices ---------------------------------------------------------
 
+    def _labelled_sign_vectors(self, labels, memo):
+        """Vertex sign vectors with column j written as ``labels[j]``.
+
+        Rank 1 and 2 have closed forms; above that every vertex is a bounding
+        facet's translation set plus a vertex of the facet's sub-zonotope.
+        ``memo`` maps a label tuple to its sub-zonotope's result, so a face
+        reached through several facets (both sides of one facet, or a ridge
+        shared by two) is enumerated once.
+        """
+        if self.rank == 1:
+            proj = self.matrix.T @ self.matrix[:, 0]
+            return {_labelled(proj > 0.0, labels), _labelled(proj < 0.0, labels)}
+        if self.rank == 2:
+            return self._zonogon_sign_vectors(labels)
+        signs = set()
+        for bf in self._bounding_facets:
+            face = tuple(labels[j] for j in bf.generating.columns)
+            if face not in memo:
+                sub = Zonotope(self.matrix[:, bf.generating.columns], self.tol)
+                memo[face] = sub._labelled_sign_vectors(face, memo)
+            side = frozenset(labels[j] for j in bf.translation_set)
+            signs.update(s | side for s in memo[face])
+        return signs
+
+    def _zonogon_sign_vectors(self, labels):
+        """Rank 2: the two ends of each edge normal to +-(column j rotated 90 deg)."""
+        basis = self._column_space_basis
+        c = self.matrix if basis is None else basis.T @ self.matrix
+        cross = np.outer(c[0], c[1]) - np.outer(c[1], c[0])  # [j, m] = det(c_j, c_m)
+        dot = c.T @ c
+        norms = np.sqrt(np.diag(dot))
+        parallel = np.abs(cross) <= self.tol.threshold(1.0) * np.outer(norms, norms)
+        sides = [~parallel & (cross > 0.0), ~parallel & (cross < 0.0)]
+        ends = [parallel & (dot > 0.0), parallel & (dot < 0.0)]
+        return {_labelled(row, labels) for side in sides for end in ends for row in side | end}
+
     @cached_property
     def _vertices(self):
+        """Sorted (point, sign vector) pairs."""
         if self.k > VERTEX_ENUM_LIMIT:
             raise CapacityError(f"vertex enumeration capped at k = {VERTEX_ENUM_LIMIT}")
-        from scipy.optimize import linprog
-
-        masks = np.arange(2 ** self.k, dtype=np.int64)
-        selectors = (masks[:, None] >> np.arange(self.k)) & 1
-        points = selectors.astype(float) @ self.matrix.T
-        scale = float(np.abs(points).max()) if points.size else 1.0
-        grid = max(self.tol.abs, self.tol.rel * scale, 1e-12)
-        buckets = {}
-        for idx in range(points.shape[0]):
-            key = tuple(np.round(points[idx] / grid).astype(np.int64))
-            buckets.setdefault(key, []).append(idx)
-
-        norms = np.linalg.norm(self.matrix, axis=0)
-        unit_gens = (self.matrix / norms).T  # k x n, unit rows
-        cut = self.tol.threshold(1.0)
-        verts = []
-        for indices in buckets.values():
-            if len(indices) > 1:
-                continue  # multiple cube preimages: never an extreme point
-            idx = indices[0]
-            inside = selectors[idx].astype(bool)
-            rows = np.where(inside, -unit_gens.T, unit_gens.T).T
-            a_ub = np.hstack([rows, np.ones((self.k, 1))])
-            res = linprog(
-                c=np.append(np.zeros(self.n), -1.0),
-                A_ub=a_ub,
-                b_ub=np.zeros(self.k),
-                bounds=[(-1.0, 1.0)] * self.n + [(0.0, 2.0)],
-                method="highs",
-            )
-            if res.status == 0 and -res.fun > cut:
-                verts.append(points[idx])
-        verts.sort(key=lambda p: tuple(p))
-        return [v.copy() for v in verts]
+        signs = list(self._labelled_sign_vectors(tuple(range(self.k)), {}))
+        indicator = np.zeros((len(signs), self.k))
+        for i, s in enumerate(signs):
+            indicator[i, list(s)] = 1.0
+        points = indicator @ self.matrix.T
+        order = sorted(range(len(signs)), key=lambda i: tuple(points[i]))
+        return [(points[i], signs[i]) for i in order]
 
     def vertices(self):
-        """Extreme points, found by a strict-separating-functional test."""
-        return [v.copy() for v in self._vertices]
+        """Extreme points, sorted lexicographically.
+
+        Each vertex is A 1_S for exactly one column subset S (its sign
+        vector); the subsets come from the facet structure, so no candidate
+        outside the vertex set is ever formed.
+        """
+        return [p.copy() for p, _ in self._vertices]
+
+    def vertex_sign_vectors(self):
+        """Sign vectors of :meth:`vertices`, in the same order (frozensets)."""
+        return [s for _, s in self._vertices]
+
+
+def _labelled(mask, labels):
+    return frozenset(labels[j] for j in np.flatnonzero(mask))
 
 
 def _subset_volume(matrix, m):

@@ -64,6 +64,37 @@ class TestMatrixParsing:
             cli.load_matrix("/nonexistent/m.txt")
 
 
+class TestMalformedInput:
+    """Shape errors exit 10 with zonokit's own message, never a traceback."""
+
+    def run(self, tmp_path, capsys, argv, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code = cli.main([argv[0], str(p)] + argv[1:])
+        return code, capsys.readouterr().err
+
+    def test_points_not_a_list(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, ["symmetry"], '{"points": 5}')
+        assert code == 10
+        assert "points: expected a nonempty list of coordinate lists" in err
+
+    def test_matrix_data_null(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, ["volume"], '{"rows": 2, "cols": 2, "data": null}')
+        assert code == 10
+        assert "data a list" in err
+
+    def test_ragged_segments(self, tmp_path, capsys):
+        text = '{"segments": [[[0, 0], [1, 0]], [[1, 0], [1]]]}'
+        code, err = self.run(tmp_path, capsys, ["symmetry"], text)
+        assert code == 10
+        assert "segments: every point needs 2 coordinates" in err
+        assert "inhomogeneous" not in err
+
+    def test_negative_mc_samples(self, a0_file, capsys):
+        assert cli.main(["volume", a0_file, "--mc-samples", "-5"]) == 10
+        assert "--mc-samples must be nonnegative" in capsys.readouterr().err
+
+
 class TestVolumeCommand:
     def test_fixture_line(self, a0_file, capsys):
         assert cli.main(["volume", a0_file]) == 0

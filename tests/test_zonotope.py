@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import zonokit
 from zonokit.errors import CapacityError, DegeneracyError, DimensionError
 from zonokit.zonotope import RankDeficiencyWarning, Zonotope, signatures_match
 
@@ -381,6 +389,96 @@ class TestVertices:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             Zonotope(np.random.default_rng(0).normal(size=(2, 17))).vertices()
+
+    def test_degenerate_integer_against_hull(self):
+        # entries in -2..2 with forced parallel and antiparallel column pairs
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            k = int(rng.integers(3, 11))
+            while True:
+                m = rng.integers(-2, 3, size=(3, k)).astype(float)
+                for j in rng.choice(k, size=k // 3, replace=False):
+                    i = int(rng.integers(k))
+                    factor = rng.choice([1.0, -1.0, 2.0, -2.0] if np.abs(m[:, i]).max() <= 1 else [1.0, -1.0])
+                    m[:, j] = factor * m[:, i]
+                if np.all(np.abs(m).sum(axis=0) > 0) and oracles.exact_rank(m) == 3:
+                    break
+            z = Zonotope(m)
+            masks = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+            cloud = masks.astype(float) @ m.T
+            got = {tuple(np.round(v, 9)) for v in z.vertices()}
+            assert len(got) == len(z.vertices())
+            assert got == oracles.hull_vertex_set(cloud)
+
+    def test_rank4_and_deficient_rank3_against_hull(self):
+        # rank 4 recurses through rank-3 faces, whose ridges two facets share
+        rng = np.random.default_rng(32)
+        for i in range(8):
+            k = int(rng.integers(5, 8))
+            m = rng.integers(-2, 3, size=(4, k)).astype(float)
+            if i % 2:  # rank 3 inside R^4
+                m = rng.integers(-1, 2, size=(4, 3)).astype(float) @ m[:3]
+            if np.any(np.all(m == 0, axis=0)):
+                continue
+            z = Zonotope(m)
+            masks = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+            cloud = masks.astype(float) @ m.T
+            got = {tuple(np.round(v, 9)) for v in z.vertices()}
+            assert len(got) == len(z.vertices())
+            assert got == oracles.hull_vertex_set(cloud)
+
+    def test_rank1_segment_in_plane(self):
+        z = Zonotope(np.array([[1.0, 2.0, -1.0], [1.0, 2.0, -1.0]]))
+        assert [tuple(v) for v in z.vertices()] == [(-1.0, -1.0), (3.0, 3.0)]
+        assert z.vertex_sign_vectors() == [frozenset({2}), frozenset({0, 1})]
+
+    def test_rank2_hexagon_in_space(self):
+        # a, b, a + b and -a span a plane in R^3: a hexagon whose a-edges have length 2
+        a, b = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])
+        z = Zonotope(np.column_stack([a, b, a + b, -a]))
+        want = {(-1, 0, -1), (1, 0, 1), (2, 1, 3), (2, 2, 4), (0, 2, 2), (-1, 1, 0)}
+        assert {tuple(np.round(v, 12)) for v in z.vertices()} == want
+        assert len(z.vertices()) == 6
+        for v, s in zip(z.vertices(), z.vertex_sign_vectors()):
+            assert np.allclose(z.matrix[:, sorted(s)].sum(axis=1), v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.integers(-2, 2), min_size=21, max_size=21),
+        k=st.integers(3, 7),
+        scales=st.lists(st.floats(1e-2, 1e2), min_size=7, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invariant_under_rotation_scaling_permutation_flips(self, entries, k, scales, seed):
+        m = np.array(entries, dtype=float).reshape(3, 7)[:, :k]
+        assume(np.all(np.abs(m).sum(axis=0) > 0) and oracles.exact_rank(m) == 3)
+        rng = np.random.default_rng(seed)
+        sigma = rng.permutation(k)
+        signs = rng.choice([-1.0, 1.0], size=k)
+        moved = (oracles.random_orthogonal(rng, 3) @ m * np.array(scales[:k]))[:, sigma] * signs
+        z, z2 = Zonotope(m), Zonotope(moved)
+        assert len(z2.vertices()) == len(z.vertices())
+        # column p of the moved matrix is column sigma[p], flipped where signs[p] < 0;
+        # a flip re-anchors the zonotope, toggling p in every sign vector
+        want = {
+            frozenset(p for p in range(k) if (sigma[p] in s) != (signs[p] < 0))
+            for s in z.vertex_sign_vectors()
+        }
+        assert set(z2.vertex_sign_vectors()) == want
+
+    def test_no_lp_solver_import(self):
+        script = (
+            "import sys, numpy as np, zonokit\n"
+            "from zonokit import cli\n"
+            f"z = zonokit.Zonotope(np.array({A0.tolist()}))\n"
+            "z.vertices()\n"
+            "cli.off_mesh(z)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(zonokit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestFacetSignature:
