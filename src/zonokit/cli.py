@@ -371,40 +371,33 @@ def _print_symmetry(report, label):
 def build_parser():
     parser = argparse.ArgumentParser(prog="zonokit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    # a string default goes through type=float, so a malformed variable is a usage error
+    common.add_argument("--tol-abs", type=float, default=os.environ.get("ZONOKIT_TOL_ABS", "1e-9"))
+    common.add_argument("--tol-rel", type=float, default=1e-9)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=None)
 
-    def common(p):
-        default_abs = float(os.environ.get("ZONOKIT_TOL_ABS", 1e-9))
-        p.add_argument("--tol-abs", type=float, default=default_abs)
-        p.add_argument("--tol-rel", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("volume", help="rank, volume, and minor census")
+    p = sub.add_parser("volume", help="rank, volume, and minor census", parents=[common])
     p.add_argument("matrix")
     p.add_argument("--mc-samples", type=int, default=0)
-    common(p)
 
-    p = sub.add_parser("congruent", help="congruence witness search")
+    p = sub.add_parser("congruent", help="congruence witness search", parents=[common])
     p.add_argument("a")
     p.add_argument("b")
-    common(p)
 
-    p = sub.add_parser("tile", help="parallelotope tiling with validation")
+    p = sub.add_parser("tile", help="parallelotope tiling with validation", parents=[common])
     p.add_argument("matrix")
     p.add_argument("--order", default=None, help="comma list of generator indices")
-    common(p)
 
-    p = sub.add_parser("root", help="exterior root of a square matrix")
+    p = sub.add_parser("root", help="exterior root of a square matrix", parents=[common])
     p.add_argument("matrix")
-    common(p)
 
-    p = sub.add_parser("mesh", help="OFF mesh export for rank-3 zonotopes")
+    p = sub.add_parser("mesh", help="OFF mesh export for rank-3 zonotopes", parents=[common])
     p.add_argument("matrix")
-    common(p)
 
-    p = sub.add_parser("symmetry", help="central symmetry reports")
+    p = sub.add_parser("symmetry", help="central symmetry reports", parents=[common])
     p.add_argument("input")
-    common(p)
 
     return parser
 

@@ -2,7 +2,11 @@
 
 Two defining matrices describe congruent zonotopes exactly when their Grams
 agree after permuting columns and flipping column signs; the witness
-(sigma, signs, Q) makes the isometry explicit as B = Q A Sigma J.
+(sigma, signs, Q) makes the isometry explicit as B = Q A Sigma J. The
+decision compares Gram invariants first (sorted entries, then colour
+refinement of the columns on labelled |G| entries), fixes every sign from
+the strong entries of each connected component, and searches column
+assignments only inside components of matching colours.
 """
 
 from __future__ import annotations
@@ -152,9 +156,31 @@ def triangular_signs(r, s, tol=DEFAULT_TOL):
 def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
     """Search for a congruence witness (Sigma, J, Q) with B = Q A Sigma J.
 
-    Backtracks over column assignments ordered by descending norm, pruning on
-    generator norms and pairwise inner products; returns None when the search
-    exhausts. Capacity-bounded at k = 10 columns.
+    B^T B must equal A^T A after a signed permutation of the columns. The
+    search runs from cheapest to dearest and returns None at the first step
+    that fails:
+
+    1. the sorted diagonals and the sorted |off-diagonal| entries of the two
+       Grams must agree within the cut;
+    2. the pooled |G| values of both Grams get integer labels by single
+       linkage at gap > cut, so entries a witness could match share a label;
+    3. colour refinement (1-WL) runs on both column sets together, on edges
+       labelled by |G_ij| and by the switching-invariant triangle balance of
+       the strong edges; the colour histograms must agree, and a column of B
+       only takes a column of A of its own colour;
+    4. strong entries (label of a value > cut) split the columns into
+       components; walked in BFS order from a root of sign +1, each later
+       column has a placed strong neighbour, which forces its sign;
+    5. each component of B is matched to the first unused component of A
+       with the same colours that admits an assignment, searching only
+       inside that pair.
+
+    A witness still comes only from ``find_orthogonal`` and the residual
+    check, run once on the assembled assignment. Entries between two
+    components are not compared during the search: both are within the
+    cut of 0, but a component's sign flip can move their difference up to
+    twice the cut, and the final check decides those cases.
+    Capacity-bounded at k = 10 columns.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -167,42 +193,128 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
         b = np.vstack([b, np.zeros((a.shape[0] - b.shape[0], k))])
     ga, gb = gram(a), gram(b)
     cut = tol.threshold(max(np.abs(ga).max(), np.abs(gb).max()))
-
-    def profile(g, i):
-        return tuple(sorted(round(abs(g[i, j]), 9) for j in range(k) if j != i))
-
-    order = sorted(range(k), key=lambda i: (-gb[i, i], profile(gb, i)))
+    upper = np.triu_indices(k, 1)
+    for pa, pb in ((np.diag(ga), np.diag(gb)), (np.abs(ga[upper]), np.abs(gb[upper]))):
+        if np.any(np.abs(np.sort(pa) - np.sort(pb)) > cut):
+            return None
+    la, lb = _joint_labels(ga, gb, cut)
+    colours = _refine(la, lb, ga, gb)
+    if colours is None:
+        return None
+    ca, cb = colours
     perm = [0] * k
-    sgn = [0.0] * k
+    sgn = [1.0] * k
     used = [False] * k
-    found = {}
 
-    def extend(pos):
-        if pos == k:
-            return _verify_assignment(a, b, perm, sgn, tol, cut, found)
-        i = order[pos]
-        for c in range(k):
-            if used[c] or abs(ga[c, c] - gb[i, i]) > cut:
+    def place(order, parent, cols, pos):
+        if pos == len(order):
+            return True
+        i, j = order[pos], parent[pos]
+        for c in cols:
+            if used[c] or ca[c] != cb[i] or abs(ga[c, c] - gb[i, i]) > cut:
                 continue
-            for s in ((1.0,) if pos == 0 else (1.0, -1.0)):
-                ok = True
-                for prev in range(pos):
-                    j = order[prev]
-                    if abs(s * sgn[j] * ga[c, perm[j]] - gb[i, j]) > cut:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                used[c] = True
-                perm[i], sgn[i] = c, s
-                if extend(pos + 1):
-                    return True
-                used[c] = False
+            if j is None:
+                s = 1.0  # flipping a whole component changes no entry inside it
+            else:
+                s = sgn[j] if (gb[i, j] > 0) == (ga[c, perm[j]] > 0) else -sgn[j]
+            if any(abs(s * sgn[q] * ga[c, perm[q]] - gb[i, q]) > cut for q in order[:pos]):
+                continue
+            used[c] = True
+            perm[i], sgn[i] = c, s
+            if place(order, parent, cols, pos + 1):
+                return True
+            used[c] = False
         return False
 
-    if extend(0):
+    parts_a = _components(la)
+    taken = [False] * len(parts_a)
+    for order, parent in _components(lb):
+        want = sorted(cb[i] for i in order)
+        for n, (cols, _) in enumerate(parts_a):
+            if not taken[n] and sorted(ca[c] for c in cols) == want:
+                if place(order, parent, sorted(cols), 0):
+                    taken[n] = True
+                    break
+        else:
+            return None
+    found = {}
+    if _verify_assignment(a, b, perm, sgn, tol, cut, found):
         return found["witness"]
     return None
+
+
+def _joint_labels(ga, gb, cut):
+    """Integer labels of |G| entries: single-linkage clusters of the pooled values.
+
+    The pool holds every |entry| of both Grams and 0; a new cluster starts
+    wherever consecutive sorted values are more than ``cut`` apart. Values
+    within ``cut`` of each other share a label, and label 0 is the cluster
+    of 0, so a nonzero label marks a value above the cut.
+    """
+    pooled = np.sort(np.concatenate([[0.0], np.abs(ga).ravel(), np.abs(gb).ravel()]))
+    starts = pooled[1:][np.diff(pooled) > cut]
+    return tuple(np.searchsorted(starts, np.abs(g), side="right") for g in (ga, gb))
+
+
+def _refine(la, lb, ga, gb):
+    """Joint colour refinement of the columns of A and B, or None on a mismatch.
+
+    A column starts with the label of its squared norm. Its next colour is
+    its own colour with the sorted multiset of (neighbour colour, edge)
+    pairs, where an edge codes the |G| label and, for strong entries, the sum
+    of the signs of the triangles through it, which a column sign flip
+    leaves unchanged. Colours are numbered over both sides at once, and the
+    rounds stop when the partition stops splitting.
+    """
+    k = la.shape[0]
+    others = ~np.eye(k, dtype=bool)
+    edges = []
+    for lab, g in ((la, ga), (lb, gb)):
+        s = np.where(lab > 0, np.sign(g), 0.0)
+        np.fill_diagonal(s, 0.0)
+        balance = np.rint((s @ s) * s).astype(int)  # within [-k, k]
+        edges.append((lab * (2 * k + 1) + balance + k)[others].reshape(k, k - 1))
+    span = max(int(e.max(initial=0)) for e in edges) + 1
+    colours = np.concatenate([np.diag(la), np.diag(lb)])
+    count = len(set(colours.tolist()))
+    while True:
+        rows = []
+        for c, e in ((colours[:k], edges[0]), (colours[k:], edges[1])):
+            pairs = np.broadcast_to(c, (k, k))[others].reshape(k, k - 1) * span + e
+            rows.append(np.column_stack([c, np.sort(pairs, axis=1)]))
+        rows = np.vstack(rows)
+        keys = [tuple(row) for row in rows.tolist()]
+        palette = {key: n for n, key in enumerate(sorted(set(keys)))}
+        colours = np.array([palette[key] for key in keys])
+        if sorted(colours[:k].tolist()) != sorted(colours[k:].tolist()):
+            return None
+        if len(palette) == count:
+            return colours[:k].tolist(), colours[k:].tolist()
+        count = len(palette)
+
+
+def _components(labels):
+    """Components of the graph of nonzero off-diagonal labels.
+
+    Each is (order, parent): its columns in BFS order from the lowest one,
+    neighbours ascending, and each column's BFS parent (None for the root).
+    """
+    k = labels.shape[0]
+    seen = [False] * k
+    parts = []
+    for root in range(k):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order, parent = [root], [None]
+        for i in order:
+            for j in range(k):
+                if j != i and not seen[j] and labels[i, j] > 0:
+                    seen[j] = True
+                    order.append(j)
+                    parent.append(i)
+        parts.append((order, parent))
+    return parts
 
 
 def _verify_assignment(a, b, perm, sgn, tol, cut, found):

@@ -8,6 +8,7 @@ All equality decisions go through :class:`Tolerance`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # a NaN cutoff makes every comparison false and an infinite one makes all values equal
+        if not all(math.isfinite(t) and t >= 0 for t in (self.abs, self.rel)):
+            raise ValueError(f"tolerances must be finite and nonnegative, got abs={self.abs}, rel={self.rel}")
 
     def close(self, x, y):
         return abs(x - y) <= self.abs + self.rel * max(abs(x), abs(y))

@@ -218,3 +218,59 @@ def random_signed_permutation(rng, k):
     sigma = rng.permutation(k)
     signs = rng.choice([-1.0, 1.0], size=k)
     return sigma, signs
+
+
+def backtrack_congruent(a, b, tol):
+    """Signed-permutation backtracking congruence search, kept as a reference.
+
+    Branches over column assignments ordered by descending norm and over
+    column signs, pruning only on generator norms and pairwise inner
+    products; every complete assignment goes through the package's own
+    witness verification. Exponential in k: use only for small inputs.
+    """
+    from zonokit.congruence import _verify_assignment
+    from zonokit.numkit import as_matrix, gram
+
+    a = as_matrix(a)
+    b = as_matrix(b)
+    k = a.shape[1]
+    if a.shape[0] > b.shape[0]:
+        b = np.vstack([b, np.zeros((a.shape[0] - b.shape[0], k))])
+    ga, gb = gram(a), gram(b)
+    cut = tol.threshold(max(np.abs(ga).max(), np.abs(gb).max()))
+
+    def profile(g, i):
+        return tuple(sorted(round(abs(g[i, j]), 9) for j in range(k) if j != i))
+
+    order = sorted(range(k), key=lambda i: (-gb[i, i], profile(gb, i)))
+    perm = [0] * k
+    sgn = [0.0] * k
+    used = [False] * k
+    found = {}
+
+    def extend(pos):
+        if pos == k:
+            return _verify_assignment(a, b, perm, sgn, tol, cut, found)
+        i = order[pos]
+        for c in range(k):
+            if used[c] or abs(ga[c, c] - gb[i, i]) > cut:
+                continue
+            for s in ((1.0,) if pos == 0 else (1.0, -1.0)):
+                ok = True
+                for prev in range(pos):
+                    j = order[prev]
+                    if abs(s * sgn[j] * ga[c, perm[j]] - gb[i, j]) > cut:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                used[c] = True
+                perm[i], sgn[i] = c, s
+                if extend(pos + 1):
+                    return True
+                used[c] = False
+        return False
+
+    if extend(0):
+        return found["witness"]
+    return None

@@ -380,6 +380,25 @@ class TestExitCodesAndConfig:
         args = parser.parse_args(["volume", a0_file])
         assert args.tol_abs == 0.5
 
+    def test_malformed_env_tol_exit10(self, a0_file, monkeypatch):
+        monkeypatch.setenv("ZONOKIT_TOL_ABS", "half")
+        assert cli.main(["volume", a0_file]) == 10
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit10(self, a0_file, value, capsys):
+        # identical matrices: a NaN cutoff used to report "not congruent" (exit 1)
+        assert cli.main(["congruent", a0_file, a0_file, f"--tol-rel={value}"]) == 10
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert cli.main(["volume", a0_file, f"--tol-abs={value}"]) == 10
+        assert "finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_every_subcommand_lists_shared_options(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        usage = capsys.readouterr().out
+        for option in ("--tol-abs", "--tol-rel", "--seed", "--out"):
+            assert option in usage
+
     def test_output_determinism(self, a0_file, capsys):
         cli.main(["volume", a0_file])
         first = capsys.readouterr().out

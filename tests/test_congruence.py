@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonokit.congruence import (
     check_conditions,
@@ -16,10 +21,11 @@ from zonokit.errors import (
     DimensionError,
     NoWitnessError,
 )
-from zonokit.numkit import gram, qr_decompose
+from zonokit.numkit import DEFAULT_TOL, gram, qr_decompose
 
 import oracles
 from fixture_matrices import comparison_counterexample, gram_equal_pairs
+from test_acceptance import cpu_budget
 
 PAIRS = gram_equal_pairs()
 
@@ -204,6 +210,139 @@ class TestCongruentZonotopes:
     def test_column_count_mismatch(self):
         with pytest.raises(DimensionError):
             congruent_zonotopes(np.eye(2), np.eye(3))
+
+
+def family_instance(rng):
+    """A seeded (a, b) pair: Gaussian or integer -2..2 columns, some of them
+    parallel or antiparallel copies, against a signed-permuted rotated copy,
+    a near-miss of one, or an unrelated matrix; n = 2..4, k = 2..7."""
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(2, 8))
+    integer = rng.random() < 0.5
+    a = rng.integers(-2, 3, size=(n, k)).astype(float) if integer else rng.normal(size=(n, k))
+    if rng.random() < 0.3:
+        for _ in range(int(rng.integers(1, k + 1))):
+            i, j = rng.choice(k, 2)
+            a[:, j] = rng.choice([-2.0, -1.0, 1.0, 2.0]) * a[:, i]
+    sigma, signs = oracles.random_signed_permutation(rng, k)
+    b = a[:, sigma] * signs
+    if not integer or rng.random() < 0.5:
+        b = oracles.random_orthogonal(rng, n) @ b
+    kind = rng.integers(3)
+    if kind == 1:
+        b[rng.integers(n), rng.integers(k)] += rng.choice([1e-6, 1e-3, 1.0])
+    elif kind == 2:
+        b = rng.integers(-2, 3, size=(n, k)).astype(float) if integer else rng.normal(size=(n, k))
+    return a, b
+
+
+def from_gram(g):
+    """A square matrix whose Gram is the positive definite g."""
+    return np.linalg.cholesky(g).T
+
+
+def weighted_graph(k, edges, weight=0.3, diagonal=None):
+    """Gram diag + weight * signed adjacency; an edge is (i, j) or (i, j, sign)."""
+    g = np.eye(k) if diagonal is None else np.diag(np.asarray(diagonal, dtype=float))
+    for i, j, *sign in edges:
+        g[i, j] = g[j, i] = weight * (sign[0] if sign else 1)
+    return g
+
+
+def cycle(length, start=0, negative=0):
+    return [(start + i, start + (i + 1) % length, -1 if i < negative else 1) for i in range(length)]
+
+
+def signed_copy(rng, a):
+    sigma, signs = oracles.random_signed_permutation(rng, a.shape[1])
+    return oracles.random_orthogonal(rng, a.shape[0]) @ (a[:, sigma] * signs)
+
+
+def adversarial_k10():
+    """(name, a, b, congruent) at k = 10, where signed-permutation backtracking
+    explores on the order of k! * 2^(k-1) nodes."""
+    rng = np.random.default_rng(52)
+    k = 10
+    frame = np.eye(k)[:, rng.permutation(k)] * rng.choice([-1.0, 1.0], size=k)
+    bent = frame.copy()
+    bent[:, 0] = math.cos(0.01) * frame[:, 0] + math.sin(0.01) * frame[:, 1]
+    heavy = [1.0] * 5 + [2.0] * 5
+    two_c5 = from_gram(weighted_graph(k, cycle(5) + cycle(5, 5)))
+    complete = list(itertools.combinations(range(k), 2))
+    # Petersen graph: 2-subsets of {0..4}, adjacent when disjoint; the prism
+    # C5 x K2 is cubic and triangle-free too, so colour refinement ties them
+    pairs = list(itertools.combinations(range(5), 2))
+    petersen = from_gram(weighted_graph(
+        k, [(i, j) for (i, u), (j, v) in itertools.combinations(enumerate(pairs), 2) if not set(u) & set(v)]
+    ))
+    prism = from_gram(weighted_graph(k, cycle(5) + cycle(5, 5) + [(i, i + 5) for i in range(5)]))
+    return [
+        ("bent identity frame", frame, bent, False),
+        (
+            "odd against even signed 5-cycle, 5 isolated heavier columns",
+            from_gram(weighted_graph(k, cycle(5, negative=1), diagonal=heavy)),
+            from_gram(weighted_graph(k, cycle(5, negative=2), diagonal=heavy)),
+            False,
+        ),
+        (
+            "two disjoint edges against a path",
+            from_gram(weighted_graph(k, [(0, 1), (2, 3)])),
+            from_gram(weighted_graph(k, [(0, 1), (1, 2)])),
+            False,
+        ),
+        ("C10 against 2 C5", from_gram(weighted_graph(k, cycle(10))), two_c5, False),
+        (
+            # equal |G| everywhere; only the triangle signs tell them apart
+            "K10 against K10 with one negative edge",
+            from_gram(weighted_graph(k, complete, 0.1)),
+            from_gram(weighted_graph(k, complete[:-1] + [(8, 9, -1)], 0.1)),
+            False,
+        ),
+        ("Petersen graph against the pentagonal prism", petersen, prism, False),
+        ("2 C5 against a signed-permuted rotated copy", two_c5, signed_copy(rng, two_c5), True),
+        ("Petersen graph against a signed-permuted rotated copy", petersen, signed_copy(rng, petersen), True),
+        ("I10 against a signed permutation of itself", np.eye(k), signed_copy(rng, np.eye(k)), True),
+    ]
+
+
+class TestCongruenceDecision:
+    def test_same_verdicts_as_backtracking(self):
+        rng = np.random.default_rng(53)
+        positives = 0
+        for _ in range(2400):
+            a, b = family_instance(rng)
+            expected = oracles.backtrack_congruent(a, b, DEFAULT_TOL)
+            w = congruent_zonotopes(a, b)
+            assert (w is None) == (expected is None)
+            if w is not None:
+                positives += 1
+                assert w.residual(a, b) <= 1e-8 * np.linalg.norm(b)
+        assert positives > 600
+
+    @pytest.mark.parametrize("case", adversarial_k10(), ids=lambda case: case[0])
+    def test_adversarial_k10_under_a_second(self, case):
+        _, a, b, congruent = case
+        # a positive gets more copies: a lucky first assignment must not decide it
+        rng = np.random.default_rng(54)
+        targets = [b] + [signed_copy(rng, a) for _ in range(8 if congruent else 0)]
+        with cpu_budget(1.0):
+            witnesses = [congruent_zonotopes(a, t) for t in targets]
+        for w, t in zip(witnesses, targets):
+            assert (w is not None) == congruent
+            if congruent:
+                assert w.residual(a, t) <= 1e-8 * np.linalg.norm(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_verdict_invariant_under_congruence_and_swap(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = family_instance(rng)
+        pairs = [(a, b), (a, signed_copy(rng, b)), (b, a)]
+        witnesses = [congruent_zonotopes(x, y) for x, y in pairs]
+        assert len({w is None for w in witnesses}) == 1
+        for w, (x, y) in zip(witnesses, pairs):
+            if w is not None:
+                assert w.residual(x, y) <= 1e-8 * np.linalg.norm(y)
 
 
 class TestCheckConditions:

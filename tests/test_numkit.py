@@ -51,6 +51,12 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(abs=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("field", ["abs", "rel"])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Tolerance(**{field: value})
+
     def test_allclose_shape_mismatch(self):
         assert not Tolerance().allclose(np.zeros(2), np.zeros(3))
 
