@@ -168,18 +168,21 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
        labelled by |G_ij| and by the switching-invariant triangle balance of
        the strong edges; the colour histograms must agree, and a column of B
        only takes a column of A of its own colour;
-    4. strong entries (label of a value > cut) split the columns into
-       components; walked in BFS order from a root of sign +1, each later
-       column has a placed strong neighbour, which forces its sign;
-    5. each component of B is matched to the first unused component of A
-       with the same colours that admits an assignment, searching only
-       inside that pair.
+    4. strong entries (a nonzero label, so a value > cut) split the columns
+       into components, which every witness maps onto components; walked in
+       BFS order, each column after a component's root has a placed strong
+       neighbour, which forces its sign;
+    5. the components of B are placed in turn on unused components of A with
+       the same colours, backtracking over components, columns of the same
+       colour and root signs (the very first root keeps +1, since flipping
+       every column changes nothing).
 
-    A witness still comes only from ``find_orthogonal`` and the residual
-    check, run once on the assembled assignment. Entries between two
-    components are not compared during the search: both are within the
-    cut of 0, but a component's sign flip can move their difference up to
-    twice the cut, and the final check decides those cases.
+    Every placed column is checked against all columns placed before it,
+    inside its component or not, exactly as a plain signed-permutation
+    search would: a label-0 entry between components need not be near 0,
+    since single linkage can chain label 0 far above the cut. A witness
+    comes only from ``find_orthogonal`` and the residual check, run on each
+    complete assignment; when they reject it the search backtracks.
     Capacity-bounded at k = 10 columns.
     """
     a = as_matrix(a)
@@ -202,43 +205,51 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
     if colours is None:
         return None
     ca, cb = colours
+    parts_a, parts_b = _components(la), _components(lb)
     perm = [0] * k
     sgn = [1.0] * k
     used = [False] * k
+    taken = [False] * len(parts_a)
+    placed = []
+    found = {}
 
-    def place(order, parent, cols, pos):
+    def match(n):
+        if n == len(parts_b):
+            return _verify_assignment(a, b, perm, sgn, tol, cut, found)
+        want = sorted(cb[i] for i in parts_b[n][0])
+        for m, (cols, _) in enumerate(parts_a):
+            if not taken[m] and sorted(ca[c] for c in cols) == want:
+                taken[m] = True
+                if place(n, sorted(cols), 0):
+                    return True
+                taken[m] = False
+        return False
+
+    def place(n, cols, pos):
+        order, parent = parts_b[n]
         if pos == len(order):
-            return True
+            return match(n + 1)
         i, j = order[pos], parent[pos]
         for c in cols:
             if used[c] or ca[c] != cb[i] or abs(ga[c, c] - gb[i, i]) > cut:
                 continue
-            if j is None:
-                s = 1.0  # flipping a whole component changes no entry inside it
+            if j is not None:
+                signs = (sgn[j] if (gb[i, j] > 0) == (ga[c, perm[j]] > 0) else -sgn[j],)
             else:
-                s = sgn[j] if (gb[i, j] > 0) == (ga[c, perm[j]] > 0) else -sgn[j]
-            if any(abs(s * sgn[q] * ga[c, perm[q]] - gb[i, q]) > cut for q in order[:pos]):
-                continue
-            used[c] = True
-            perm[i], sgn[i] = c, s
-            if place(order, parent, cols, pos + 1):
-                return True
-            used[c] = False
+                signs = (1.0, -1.0) if placed else (1.0,)  # flipping every column changes nothing
+            for s in signs:
+                if any(abs(s * sgn[q] * ga[c, perm[q]] - gb[i, q]) > cut for q in placed):
+                    continue
+                used[c] = True
+                perm[i], sgn[i] = c, s
+                placed.append(i)
+                if place(n, cols, pos + 1):
+                    return True
+                placed.pop()
+                used[c] = False
         return False
 
-    parts_a = _components(la)
-    taken = [False] * len(parts_a)
-    for order, parent in _components(lb):
-        want = sorted(cb[i] for i in order)
-        for n, (cols, _) in enumerate(parts_a):
-            if not taken[n] and sorted(ca[c] for c in cols) == want:
-                if place(order, parent, sorted(cols), 0):
-                    taken[n] = True
-                    break
-        else:
-            return None
-    found = {}
-    if _verify_assignment(a, b, perm, sgn, tol, cut, found):
+    if match(0):
         return found["witness"]
     return None
 
@@ -318,17 +329,26 @@ def _components(labels):
 
 
 def _verify_assignment(a, b, perm, sgn, tol, cut, found):
-    mapped = a[:, perm] * np.asarray(sgn)
+    """Build Q for one signed assignment and accept it on a small residual.
+
+    Negating every sign changes no Gram entry, so it must not change the
+    verdict; but with the loose search tolerance ``find_orthogonal`` can
+    count small columns as dependent and carry them through an arbitrarily
+    oriented complement, whose fit then hangs on that global sign. The
+    negated assignment is tried when the first one fails.
+    """
     search_tol = Tolerance(abs=max(cut, tol.abs), rel=tol.rel)
-    try:
-        q = find_orthogonal(mapped, b, search_tol)
-    except (NoWitnessError, DegeneracyError):
-        return False
-    res = np.linalg.norm(b - q @ mapped)
-    if res > max(1e-8 * np.linalg.norm(b), 1e-12):
-        return False
-    found["witness"] = CongruenceWitness(tuple(perm), tuple(int(s) for s in sgn), q)
-    return True
+    for signs in (np.asarray(sgn, dtype=float), -np.asarray(sgn, dtype=float)):
+        mapped = a[:, perm] * signs
+        try:
+            q = find_orthogonal(mapped, b, search_tol)
+        except (NoWitnessError, DegeneracyError):
+            continue
+        res = np.linalg.norm(b - q @ mapped)
+        if res <= max(1e-8 * np.linalg.norm(b), 1e-12):
+            found["witness"] = CongruenceWitness(tuple(perm), tuple(int(s) for s in signs), q)
+            return True
+    return False
 
 
 def _comparison_factor(m, tol):

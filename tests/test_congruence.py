@@ -21,7 +21,7 @@ from zonokit.errors import (
     DimensionError,
     NoWitnessError,
 )
-from zonokit.numkit import DEFAULT_TOL, gram, qr_decompose
+from zonokit.numkit import DEFAULT_TOL, Tolerance, gram, qr_decompose
 
 import oracles
 from fixture_matrices import comparison_counterexample, gram_equal_pairs
@@ -236,6 +236,37 @@ def family_instance(rng):
     return a, b
 
 
+def scaled_instance(rng, mixed_scales, kmax):
+    """A seeded (a, b) pair for loose tolerances and spread column norms.
+
+    Columns are optionally scaled by 10^-2..10^5 and stretched by 1e-4
+    steps, so that a cut of rel = 1e-3 admits assignments the strict
+    residual check rejects; b is a signed-permuted (rotated) copy, a copy
+    with one entry bent, or a shuffled, stretched copy.
+    """
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(2, kmax + 1))
+    a = rng.normal(size=(n, k)) if rng.random() < 0.5 else rng.integers(-2, 3, size=(n, k)).astype(float)
+    if mixed_scales:
+        a = a * 10.0 ** rng.integers(-2, 6, size=k)
+    if rng.random() < 0.3:
+        for _ in range(int(rng.integers(1, k + 1))):
+            i, j = rng.choice(k, 2)
+            a[:, j] = rng.choice([-2.0, -1.0, 1.0, 2.0]) * a[:, i]
+    if rng.random() < 0.5:
+        a = a * (1 + 1e-4 * rng.integers(0, 4, size=k))
+    sigma, signs = oracles.random_signed_permutation(rng, k)
+    b = a[:, sigma] * signs
+    if rng.random() < 0.5:
+        b = oracles.random_orthogonal(rng, n) @ b
+    kind = rng.integers(3)
+    if kind == 1:
+        b[rng.integers(n), rng.integers(k)] += rng.choice([1e-6, 1e-3, 1.0]) * np.abs(b).max()
+    elif kind == 2:
+        b = b[:, rng.permutation(k)] * (1 + 1e-4 * rng.integers(0, 3, size=k))
+    return a, b
+
+
 def from_gram(g):
     """A square matrix whose Gram is the positive definite g."""
     return np.linalg.cholesky(g).T
@@ -318,6 +349,45 @@ class TestCongruenceDecision:
                 positives += 1
                 assert w.residual(a, b) <= 1e-8 * np.linalg.norm(b)
         assert positives > 600
+
+    @pytest.mark.parametrize(
+        "rel, mixed_scales, count, kmax",
+        [(1e-9, True, 600, 6), (1e-3, False, 600, 6), (1e-3, True, 200, 4)],
+        ids=["mixed scales", "rel 1e-3", "rel 1e-3, mixed scales"],
+    )
+    def test_same_verdicts_as_backtracking_at_wide_cuts(self, rel, mixed_scales, count, kmax):
+        # a wide cut admits assignments that the residual check rejects, so
+        # the search must back out of them rather than stop at the first one
+        tol = Tolerance(rel=rel)
+        rng = np.random.default_rng(55)
+        positives = 0
+        for _ in range(count):
+            a, b = scaled_instance(rng, mixed_scales, kmax)
+            expected = oracles.backtrack_congruent(a, b, tol)
+            w = congruent_zonotopes(a, b, tol)
+            assert (w is None) == (expected is None)
+            if w is not None:
+                positives += 1
+                assert w.residual(a, b) <= 1e-8 * np.linalg.norm(b)
+        assert positives > count // 5
+
+    def test_column_swap_within_a_loose_cut(self):
+        # both diagonals fall within the cut, so the identity assignment
+        # passes every Gram check and only the residual rejects it
+        a = np.array([[1.0, 0.0], [0.0, 1.0005]])
+        b = a[:, ::-1]
+        w = congruent_zonotopes(a, b, Tolerance(rel=1e-3))
+        assert w is not None and w.sigma == (1, 0)
+        assert w.residual(a, b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_column_swap_below_a_large_cut(self):
+        # the 1e10 diagonal makes the cut about 10, so label 0 chains over
+        # every other entry and all three columns are single components
+        a = np.array([[1e5, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        b = a[:, [0, 2, 1]]
+        w = congruent_zonotopes(a, b)
+        assert w is not None and w.sigma == (0, 2, 1)
+        assert w.residual(a, b) <= 1e-8 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("case", adversarial_k10(), ids=lambda case: case[0])
     def test_adversarial_k10_under_a_second(self, case):
