@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
+# Subsets per stacked call in subset_determinants and in the face closures:
+# bounds the temporary stacks of wide inputs without splitting desk-scale ones.
+SUBSET_BATCH = 8192
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -108,6 +112,53 @@ def rank(m, tol=DEFAULT_TOL):
     return r
 
 
+def rank_batch(stack, tol=DEFAULT_TOL):
+    """Numerical rank of every slice of a (B, m, p) stack, as an int array.
+
+    Slice b gets exactly ``rank(stack[b], tol)``: the same cut from the
+    slice's own largest entry, the same complete pivoting with the first
+    maximum winning ties, and the same swaps and updates, step by step, for
+    all slices at once. A slice leaves the stack at its first pivot under the
+    cut, so no division by a small pivot happens.
+    """
+    a = np.array(stack, dtype=float)
+    if a.ndim != 3:
+        raise DimensionError(f"expected a (B, m, p) stack, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    ranks = np.zeros(a.shape[0], dtype=int)
+    if a.size == 0:
+        return ranks
+    cut = tol.threshold(np.abs(a).max(axis=(1, 2)))
+    live = np.arange(a.shape[0])
+    _, rows, cols = a.shape
+    for r in range(min(rows, cols)):
+        sub = np.abs(a[:, r:, r:]).reshape(live.size, -1)
+        flat = sub.argmax(axis=1)
+        at = np.arange(live.size)
+        stop = sub[at, flat] <= cut
+        if stop.any():
+            keep = ~stop
+            live, a, cut, flat = live[keep], a[keep], cut[keep], flat[keep]
+            if not live.size:
+                break
+            at = np.arange(live.size)
+        i, j = np.divmod(flat, cols - r)
+        a[at, r], a[at, r + i] = a[at, r + i], a[at, r]
+        a[at, :, r], a[at, :, r + j] = a[at, :, r + j], a[at, :, r]
+        pivot = a[:, r, r]
+        a[:, r + 1:, r:] -= (a[:, r + 1:, r] / pivot[:, None])[:, :, None] * a[:, None, r, r:]
+        ranks[live] += 1
+    return ranks
+
+
+def column_subsets(m, subsets):
+    """(B, n, s) stack whose slice b is ``m[:, subsets[b]]`` (C-contiguous)."""
+    a = as_matrix(m)
+    idx = np.asarray(subsets, dtype=int)
+    return np.ascontiguousarray(a[:, idx].transpose(1, 0, 2))
+
+
 def cross_product(vectors):
     """Generalized cross product of n-1 vectors in R^n.
 
@@ -196,18 +247,21 @@ def subset_determinants(m, size):
     """|det| of every ``size``-column submatrix, in lexicographic subset order.
 
     Yields (subset_tuple, det_value) pairs; subsets index columns 0-based.
+    Square subsets give their determinant; smaller ones the square root of
+    their Gram determinant. Each run of up to ``SUBSET_BATCH`` subsets is one
+    stacked ``np.linalg.det``.
     """
     a = as_matrix(m)
     if size > a.shape[0]:
         raise DimensionError("subset size exceeds row count")
-    for combo in itertools.combinations(range(a.shape[1]), size):
-        sub = a[:, combo]
+    combos = itertools.combinations(range(a.shape[1]), size)
+    while batch := list(itertools.islice(combos, SUBSET_BATCH)):
+        stack = column_subsets(a, np.reshape(batch, (len(batch), size)))
         if size == a.shape[0]:
-            yield combo, float(np.linalg.det(sub))
+            values = np.linalg.det(stack)
         else:
-            g = sub.T @ sub
-            d = float(np.linalg.det(g))
-            yield combo, float(np.sqrt(max(d, 0.0)))
+            values = np.sqrt(np.maximum(np.linalg.det(np.swapaxes(stack, 1, 2) @ stack), 0.0))
+        yield from zip(batch, values.tolist())
 
 
 def independent_columns(m, tol=DEFAULT_TOL):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .numkit import as_matrix, as_vector, rank
+from .numkit import as_matrix, as_vector, column_subsets, rank, rank_batch
 from .zonotope import Zonotope
 
 
@@ -32,10 +32,8 @@ class Tiling:
     source: dict = field(default_factory=dict)
 
     def volume_sum(self, matrix):
-        matrix = as_matrix(matrix)
-        return float(
-            sum(abs(np.linalg.det(matrix[:, list(t.columns)])) for t in self.tiles)
-        )
+        dets = np.linalg.det(_tile_generators(as_matrix(matrix), self.tiles))
+        return float(sum(np.abs(dets).tolist()))
 
     def census(self):
         return sorted(t.columns for t in self.tiles)
@@ -223,6 +221,11 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
     return CupOfCubes(new_index, tiles)
 
 
+def _tile_generators(matrix, tiles):
+    """(T, n, n) stack of each tile's generator matrix."""
+    return column_subsets(matrix, np.reshape([t.columns for t in tiles], (len(tiles), matrix.shape[0])))
+
+
 def validate_tiling(z, tiling, tol=None):
     """Check volume sum, subset census, interior disjointness, and containment."""
     tol = tol or z.tol
@@ -233,10 +236,9 @@ def validate_tiling(z, tiling, tol=None):
     vol_sum = tiling.volume_sum(matrix)
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
-    want = set()
-    for combo in itertools.combinations(range(z.k), n):
-        if rank(matrix[:, combo], tol) == n:
-            want.add(combo)
+    combos = np.reshape(list(itertools.combinations(range(z.k), n)), (-1, n))
+    independent = combos[rank_batch(column_subsets(matrix, combos), tol) == n]
+    want = set(map(tuple, independent.tolist()))
     got = [t.columns for t in tiling.tiles]
     seen = set()
     duplicates = []
@@ -249,33 +251,36 @@ def validate_tiling(z, tiling, tol=None):
     unexpected = sorted(set(got) - want)
     census_ok = not duplicates and not missing and not unexpected
 
+    # Tile j's centre strictly inside tile i (in tile i's cube coordinates)
+    # breaks interior disjointness. Here and in the containment test, matmul
+    # against an (.., n, 1) stack runs one matrix-vector product per vector,
+    # as a loop would, so every decision is bit-identical to the loop's.
     eps = tol.threshold(1.0)
+    gens = _tile_generators(matrix, tiling.tiles)
+    origins = np.reshape([t.translation for t in tiling.tiles], (-1, n))
+    centers = origins + gens.sum(axis=2) / 2.0
+    inverses = np.linalg.inv(gens)
     disjoint_violations = []
-    bodies = [(np.asarray(matrix[:, list(t.columns)]), t.translation) for t in tiling.tiles]
-    centers = [tr + gen.sum(axis=1) / 2.0 for gen, tr in bodies]
-    for i, (gen_i, tr_i) in enumerate(bodies):
-        inv = np.linalg.inv(gen_i)
-        for j, c in enumerate(centers):
-            if i == j:
-                continue
-            coords = inv @ (c - tr_i)
-            if np.all(coords > eps) and np.all(coords < 1.0 - eps):
-                disjoint_violations.append((i, j))
+    for i, inv in enumerate(inverses):
+        coords = np.matmul(inv, (centers - origins[i])[:, :, None])[:, :, 0]
+        inside = np.all((coords > eps) & (coords < 1.0 - eps), axis=1)
+        inside[i] = False
+        disjoint_violations.extend((i, j) for j in np.flatnonzero(inside).tolist())
     disjoint_ok = not disjoint_violations
 
-    h_rep = [(bf.unit_normal, bf.support) for bf in z.bounding_facets()]
-    max_h = max((abs(h) for _, h in h_rep), default=0.0)
+    facets = z.bounding_facets()
+    normals = np.reshape([bf.unit_normal for bf in facets], (-1, n, 1))
+    max_h = max((abs(bf.support) for bf in facets), default=0.0)
     slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
-    containment_violations = []
+    bounds = np.array([bf.support for bf in facets])[:, None] + slack
     corners = np.array(
         [[float(b) for b in np.binary_repr(i, n)] for i in range(2 ** n)]
     )
-    for idx, (gen, tr) in enumerate(bodies):
-        pts = tr + corners @ gen.T
-        for u, h in h_rep:
-            if np.any(pts @ u > h + slack):
-                containment_violations.append(idx)
-                break
+    containment_violations = [
+        idx
+        for idx, (gen, origin) in enumerate(zip(gens, origins))
+        if np.any(np.matmul(origin + corners @ gen.T, normals)[:, :, 0] > bounds)
+    ]
     containment_ok = not containment_violations
 
     return TilingReport(

@@ -157,19 +157,27 @@ class Zonotope:
         if s == 0:
             faces = [GeneratingFace((i,), 0) for i in range(self.k)]
         else:
-            seen = {}
-            for combo in itertools.combinations(range(self.k), s):
-                if numkit.rank(self.matrix[:, combo], self.tol) != s:
-                    continue
-                closure = tuple(
-                    j
-                    for j in range(self.k)
-                    if numkit.rank(self.matrix[:, combo + (j,)], self.tol) == s
-                )
-                seen[closure] = GeneratingFace(closure, s)
-            faces = [seen[c] for c in sorted(seen)]
+            closures = set()
+            combos = itertools.combinations(range(self.k), s)
+            while batch := list(itertools.islice(combos, max(1, numkit.SUBSET_BATCH // self.k))):
+                closures.update(self._closures(np.reshape(batch, (len(batch), s)), s))
+            faces = [GeneratingFace(c, s) for c in sorted(closures)]
         self._face_cache[s] = faces
         return faces
+
+    def _closures(self, combos, s):
+        """Closed column sets of the rank-s subsets among the rows of ``combos``.
+
+        Column j is in a closure iff the subset plus j still has rank s; both
+        the subsets and their extensions by every column are one stacked rank.
+        """
+        ranks = numkit.rank_batch(numkit.column_subsets(self.matrix, combos), self.tol)
+        base = combos[ranks == s]
+        extended = np.column_stack(
+            [np.repeat(base, self.k, axis=0), np.tile(np.arange(self.k), len(base))]
+        )
+        inside = numkit.rank_batch(numkit.column_subsets(self.matrix, extended), self.tol) == s
+        return {tuple(np.flatnonzero(row).tolist()) for row in inside.reshape(-1, self.k)}
 
     def zone(self, i):
         """Generating facets whose column set contains generator i."""
@@ -224,14 +232,11 @@ class Zonotope:
     def _bounding_facets(self):
         if self.rank < 2:
             raise DegeneracyError("bounding facets need rank >= 2")
-        r = self.rank
         basis = self._column_space_basis
         coords = self.matrix if basis is None else basis.T @ self.matrix
+        faces = self.generating_faces(self.rank - 1)
         facets = []
-        for face in self.generating_faces(r - 1):
-            picked = numkit.independent_columns(coords[:, face.columns], self.tol)
-            local = [coords[:, face.columns[j]] for j in picked]
-            normal = numkit.cross_product(local)
+        for face, normal in zip(faces, _facet_normals(coords, faces, self.tol)):
             if basis is not None:
                 normal = basis @ normal
             normal = normal / np.linalg.norm(normal)
@@ -399,6 +404,42 @@ class Zonotope:
     def vertex_sign_vectors(self):
         """Sign vectors of :meth:`vertices`, in the same order (frozensets)."""
         return [s for _, s in self._vertices]
+
+
+def _facet_normals(coords, faces, tol):
+    """Cross product of each face's greedy independent columns, one row per face.
+
+    The columns are those ``numkit.independent_columns`` picks from
+    ``coords[:, face.columns]``, found for all faces at once with one stacked
+    rank per greedy step and trial size; component i of every normal is one
+    stacked determinant with row i deleted.
+    """
+    r = coords.shape[0]
+    picked = [[] for _ in faces]
+    for j in range(max((len(f.columns) for f in faces), default=0)):
+        trials = {}
+        for f, face in enumerate(faces):
+            if j < len(face.columns):
+                trials.setdefault(len(picked[f]) + 1, []).append(f)
+        for size, members in trials.items():
+            stack = numkit.column_subsets(coords, [picked[f] + [faces[f].columns[j]] for f in members])
+            for f, got in zip(members, numkit.rank_batch(stack, tol)):
+                if got == size:
+                    picked[f].append(faces[f].columns[j])
+    for face, cols in zip(faces, picked):
+        if len(cols) != r - 1:
+            raise DegeneracyError(
+                f"generating facet on columns {face.columns} has {len(cols)} greedy independent "
+                f"columns in rank {r}, not {r - 1}: the rank decisions depend on the column scales"
+            )
+    stack = numkit.column_subsets(coords, np.reshape(picked, (len(faces), r - 1)))
+    normals = np.empty((len(faces), r))
+    keep = np.ones(r, dtype=bool)
+    for i in range(r):
+        keep[i] = False
+        normals[:, i] = (-1.0) ** i * np.linalg.det(stack[:, keep, :])
+        keep[i] = True
+    return normals
 
 
 def _labelled(mask, labels):

@@ -5,6 +5,8 @@ dependent, so its zonotope has a pair of hexagonal facets and one degenerate
 generator triple; ``perturbed_hex_generators`` lifts the dependency.
 ``gram_equal_pairs`` are four (A, B) pairs with equal column Grams and equal
 row Grams, exercising the comparison-condition calculus.
+``scale_dependent_closure`` is a full-rank 4x5 matrix whose facet pass cannot
+succeed while rank cuts depend on each submatrix's largest entry.
 """
 
 import numpy as np
@@ -24,6 +26,24 @@ def perturbed_hex_generators(eps):
     a = hex_facet_generators()
     a[2, 2] = eps
     return a
+
+
+def scale_dependent_closure():
+    """Rank 4, yet the closure of a 3-subset takes all five columns.
+
+    ``numkit.rank`` takes its cut from each submatrix's largest entry, so the
+    columns of norm ~0.01 count as dependent next to the 1e4 columns in some
+    submatrices and as independent in others: the greedy basis of that
+    closure has four columns, not three.
+    """
+    return np.array(
+        [
+            [20000.0, 0.0001, -2000.0, -0.01, 300.0],
+            [-30000.0, 0.0, -2000.0, -0.02, 200.0],
+            [-10000.0, -0.0001, 0.0, -0.01, -300.0],
+            [30000.0, 0.0001, 3000.0, 0.01, 100.0],
+        ]
+    )
 
 
 def gram_equal_pairs():

@@ -274,3 +274,136 @@ def backtrack_congruent(a, b, tol):
     if extend(0):
         return found["witness"]
     return None
+
+
+# -- loop references for the stacked face, facet and tiling passes -----------
+#
+# One numkit.rank, cross_product or np.linalg.det call per subset, face or
+# tile, as the package computed them before it stacked them; the stacked code
+# must return exactly the same values.
+
+
+def loop_subset_determinants(m, size):
+    """(subset, |det| or sqrt(det Gram)) pairs, one np.linalg.det per subset."""
+    a = np.asarray(m, dtype=float)
+    for combo in combinations(range(a.shape[1]), size):
+        sub = a[:, combo]
+        if size == a.shape[0]:
+            yield combo, float(np.linalg.det(sub))
+        else:
+            d = float(np.linalg.det(sub.T @ sub))
+            yield combo, float(np.sqrt(max(d, 0.0)))
+
+
+def _loop_subset_volume(matrix, m):
+    total = 0.0
+    for _, d in loop_subset_determinants(matrix, m):
+        total += abs(d)
+    return total
+
+
+def loop_generating_faces(z, s):
+    """Closed rank-s column sets: k + 1 rank calls per s-subset."""
+    from zonokit.numkit import rank
+    from zonokit.zonotope import GeneratingFace
+
+    if s == 0:
+        return [GeneratingFace((i,), 0) for i in range(z.k)]
+    seen = {}
+    for combo in combinations(range(z.k), s):
+        if rank(z.matrix[:, combo], z.tol) != s:
+            continue
+        closure = tuple(j for j in range(z.k) if rank(z.matrix[:, combo + (j,)], z.tol) == s)
+        seen[closure] = GeneratingFace(closure, s)
+    return [seen[c] for c in sorted(seen)]
+
+
+def loop_bounding_facets(z):
+    """Both sides of every generating facet, one cross product per face."""
+    from zonokit import numkit
+    from zonokit.zonotope import BoundingFacet
+
+    r = z.rank
+    basis = None
+    if r < z.n:
+        picked = numkit.independent_columns(z.matrix, z.tol)
+        basis, _ = numkit.qr_decompose(z.matrix[:, picked], z.tol)
+    coords = z.matrix if basis is None else basis.T @ z.matrix
+    facets = []
+    for face in loop_generating_faces(z, r - 1):
+        picked = numkit.independent_columns(coords[:, face.columns], z.tol)
+        normal = numkit.cross_product([coords[:, face.columns[j]] for j in picked])
+        if basis is not None:
+            normal = basis @ normal
+        normal = normal / np.linalg.norm(normal)
+        reference = numkit.sign_normalize(normal, z.tol)
+        proj = z.matrix.T @ reference
+        rest = [j for j in range(z.k) if j not in face.columns]
+        negative = tuple(j for j in rest if proj[j] < 0.0)
+        positive = tuple(j for j in rest if proj[j] >= 0.0)
+        vol = _loop_subset_volume(z.matrix[:, face.columns], face.dim)
+        for side, unit, tset in (("minus", -reference, negative), ("plus", reference, positive)):
+            translation = z.matrix[:, tset].sum(axis=1) if tset else np.zeros(z.n)
+            facets.append(
+                BoundingFacet(face, unit, negative, positive, side, translation, vol, float(unit @ translation))
+            )
+    return facets
+
+
+def loop_validate_tiling(z, tiling, tol):
+    """validate_tiling with one rank per n-subset and O(T^2 + T F) loops."""
+    from zonokit.numkit import rank
+    from zonokit.tiling import TilingReport
+
+    matrix, n = z.matrix, z.n
+    expected = _loop_subset_volume(matrix, n)
+    vol_sum = float(sum(abs(np.linalg.det(matrix[:, list(t.columns)])) for t in tiling.tiles))
+    volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
+
+    want = {combo for combo in combinations(range(z.k), n) if rank(matrix[:, combo], tol) == n}
+    got = [t.columns for t in tiling.tiles]
+    seen, duplicates = set(), []
+    for c in got:
+        if c in seen:
+            duplicates.append(c)
+        seen.add(c)
+    duplicates = sorted(set(duplicates))
+    missing = sorted(want - set(got))
+    unexpected = sorted(set(got) - want)
+
+    eps = tol.threshold(1.0)
+    bodies = [(matrix[:, list(t.columns)], t.translation) for t in tiling.tiles]
+    centers = [tr + gen.sum(axis=1) / 2.0 for gen, tr in bodies]
+    disjoint = []
+    for i, (gen_i, tr_i) in enumerate(bodies):
+        inv = np.linalg.inv(gen_i)
+        for j, c in enumerate(centers):
+            if i == j:
+                continue
+            coords = inv @ (c - tr_i)
+            if np.all(coords > eps) and np.all(coords < 1.0 - eps):
+                disjoint.append((i, j))
+
+    h_rep = [(bf.unit_normal, bf.support) for bf in loop_bounding_facets(z)]
+    max_h = max((abs(h) for _, h in h_rep), default=0.0)
+    slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
+    corners = np.array([[float(b) for b in np.binary_repr(i, n)] for i in range(2**n)])
+    outside = []
+    for idx, (gen, tr) in enumerate(bodies):
+        pts = tr + corners @ gen.T
+        if any(np.any(pts @ u > h + slack) for u, h in h_rep):
+            outside.append(idx)
+
+    return TilingReport(
+        volume_ok=bool(volume_ok),
+        census_ok=not duplicates and not missing and not unexpected,
+        disjoint_ok=not disjoint,
+        containment_ok=not outside,
+        volume_sum=vol_sum,
+        expected_volume=expected,
+        duplicates=duplicates,
+        missing=missing,
+        unexpected=unexpected,
+        disjoint_violations=disjoint,
+        containment_violations=outside,
+    )

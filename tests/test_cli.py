@@ -8,7 +8,7 @@ from zonokit.congruence import CongruenceWitness
 from zonokit.zonotope import Zonotope
 
 import oracles
-from fixture_matrices import hex_facet_generators
+from fixture_matrices import hex_facet_generators, scale_dependent_closure
 
 A0 = hex_facet_generators()
 
@@ -196,6 +196,15 @@ class TestTileCommand:
         p = tmp_path / "m.txt"
         write_text_matrix(p, A0[:, [0, 1, 2]])
         assert cli.main(["tile", str(p)]) == 3
+
+    def test_scale_dependent_closure_exit10(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        write_json_matrix(p, scale_dependent_closure())
+        assert cli.main(["tile", str(p), "--out", str(tmp_path / "t.json")]) == 10
+        err = capsys.readouterr().err
+        assert "generating facet on columns (0, 1, 2, 3, 4)" in err
+        assert "depend on the column scales" in err
+        assert "n-1 vectors" not in err
 
     def test_explicit_order(self, a0_file, tmp_path):
         out = tmp_path / "t.json"

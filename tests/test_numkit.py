@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from zonokit.numkit import (
     orthonormal_complement,
     qr_decompose,
     rank,
+    rank_batch,
     sign_normalize,
     signed_compound,
 )
@@ -124,6 +127,83 @@ class TestRank:
     def test_threshold_is_scale_relative(self):
         m = np.array([[1e6, 0.0], [0.0, 1e-12]])
         assert rank(m, Tolerance(abs=1e-9, rel=1e-9)) == 1
+
+
+def rank_stack(seed, b, m, p, kind):
+    """(b, m, p) stack: Gaussian, integer -2..2 with parallel columns, or spread column scales."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        stack = rng.integers(-2, 3, size=(b, m, p)).astype(float)
+        if p >= 2:
+            stack[:, :, -1] = rng.integers(-2, 3) * stack[:, :, 0]
+        return stack
+    stack = rng.normal(size=(b, m, p))
+    if kind == "scaled":
+        stack *= 10.0 ** rng.uniform(-4, 4, size=(b, 1, p))
+    return stack
+
+
+class TestRankBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 12),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.sampled_from(["gaussian", "integer", "scaled"]),
+        st.sampled_from([Tolerance(), Tolerance(rel=1e-3)]),
+    )
+    def test_equals_rank_slice_by_slice(self, seed, b, m, p, kind, tol):
+        stack = rank_stack(seed, b, m, p, kind)
+        with warnings.catch_warnings():
+            # slices that stop early must not divide by their sub-cut pivots
+            warnings.simplefilter("error")
+            got = rank_batch(stack, tol)
+        assert got.shape == (b,)
+        assert [int(r) for r in got] == [rank(x, tol) for x in stack]
+
+    @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(abs=0.0, rel=0.0)])
+    def test_mixed_stopping_steps(self, tol):
+        # with a zero tolerance the remainders are exact zeros, right at the cut
+        stack = np.zeros((4, 3, 3))
+        stack[1, 0, 0] = 1.0
+        stack[2] = np.eye(3)
+        stack[3, :2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rank_batch(stack, tol).tolist() == [0, 1, 3, 1]
+        assert [rank(x, tol) for x in stack] == [0, 1, 3, 1]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DimensionError):
+            rank_batch(np.eye(3))
+        with pytest.raises(ValueError):
+            rank_batch(np.full((2, 2, 2), np.nan))
+
+
+class TestSubsetDeterminants:
+    def test_equals_loop_reference(self):
+        rng = np.random.default_rng(23)
+        for trial in range(80):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(0, 10))
+            a = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, size=k)
+            if trial % 2:
+                a = rng.integers(-2, 3, size=(n, k)).astype(float)
+            for size in range(n + 1):
+                got = list(numkit.subset_determinants(a, size))
+                assert got == list(oracles.loop_subset_determinants(a, size))
+                assert all(type(d) is float for _, d in got)
+
+    def test_chunks_give_the_same_pairs(self, monkeypatch):
+        a = np.random.default_rng(24).normal(size=(3, 8))
+        whole = [list(numkit.subset_determinants(a, s)) for s in (2, 3)]
+        monkeypatch.setattr(numkit, "SUBSET_BATCH", 5)
+        assert [list(numkit.subset_determinants(a, s)) for s in (2, 3)] == whole
+
+    def test_size_above_rows_rejected(self):
+        with pytest.raises(DimensionError):
+            list(numkit.subset_determinants(np.eye(2), 3))
 
 
 class TestCrossProduct:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zonokit.errors import DegeneracyError, DimensionError
+from zonokit.numkit import Tolerance
 from zonokit.tiling import (
     Tile,
     Tiling,
@@ -12,6 +13,7 @@ from zonokit.tiling import (
 )
 from zonokit.zonotope import Zonotope
 
+import oracles
 from fixture_matrices import hex_facet_generators, perturbed_hex_generators
 
 A0 = hex_facet_generators()
@@ -211,12 +213,104 @@ class TestValidateTiling:
         report = validate_tiling(z, Tiling(tiles, til.source))
         assert not (report.disjoint_ok and report.containment_ok)
 
+    # Four unit squares tiling [0, 2]^2: tiles (0,1) at 0, (0,3) at e2,
+    # (1,2) at e1 and (2,3) at e1 + e2.
+    SQUARE = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+
+    def square_report(self, edit):
+        z = Zonotope(self.SQUARE)
+        til = tile_zonotope(z)
+        tiles = [Tile(t.columns, t.translation.copy()) for t in til.tiles]
+        assert validate_tiling(z, Tiling(tiles, til.source)).ok
+        return validate_tiling(z, Tiling(edit(tiles), til.source))
+
+    def test_tile_shifted_inside(self):
+        # tile 0 moved to [0.9, 1.9] x [0.4, 1.4]: its centre lies inside
+        # tile 2 ([1, 2] x [0, 1]) and tile 2's centre inside it
+        def shift(tiles):
+            tiles[0].translation += [0.9, 0.4]
+            return tiles
+
+        report = self.square_report(shift)
+        assert report.disjoint_violations == [(0, 2), (2, 0)]
+        assert report.containment_violations == []
+        assert report.census_ok and report.volume_ok and not report.disjoint_ok
+
+    def test_tile_pushed_outside(self):
+        def push(tiles):
+            tiles[0].translation += [0.0, -0.5]
+            return tiles
+
+        report = self.square_report(push)
+        assert report.disjoint_violations == []
+        assert report.containment_violations == [0]
+        assert report.census_ok and report.disjoint_ok and not report.containment_ok
+
+    def test_duplicated_tile(self):
+        report = self.square_report(lambda tiles: tiles + [tiles[2]])
+        assert report.disjoint_violations == [(2, 4), (4, 2)]
+        assert report.containment_violations == []
+        assert report.duplicates == [(1, 2)]
+        assert report.missing == [] and report.unexpected == []
+        assert report.volume_sum == 5.0 and not report.volume_ok
+
     def test_missing_tile_reported(self):
         z = Zonotope(HEX2D)
         til = tile_zonotope(z)
         report = validate_tiling(z, Tiling(til.tiles[:-1], til.source))
         assert not report.census_ok
         assert report.missing
+
+
+def facet_fields(facets):
+    return [
+        (bf.generating, bf.unit_normal.tolist(), bf.negative_set, bf.positive_set,
+         bf.side, bf.translation.tolist(), bf.volume, bf.support)
+        for bf in facets
+    ]
+
+
+def differential_matrix(rng, trial, n, k):
+    kind = trial // 4 % 3
+    if kind == 0:
+        return rng.normal(size=(n, k))
+    if kind == 1:
+        a = rng.integers(-2, 3, size=(n, k)).astype(float)
+        a[0, ~a.any(axis=0)] = 1.0  # no zero generators
+        return a
+    return rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, size=k)
+
+
+class TestAgainstLoopReferences:
+    """Stacked faces, facets and tiling checks equal the per-subset loops exactly."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    def test_seeded_differential(self):
+        rng = np.random.default_rng(404)
+        for trial in range(60):
+            n = 2 + trial % 4
+            k = int(rng.integers(n, min(9, n + 4) + 1))
+            tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
+            z = Zonotope(differential_matrix(rng, trial, n, k), tol)
+            for s in range(z.rank + 1):
+                assert z.generating_faces(s) == oracles.loop_generating_faces(z, s)
+            if z.rank < 2:
+                continue
+            try:
+                want = oracles.loop_bounding_facets(z)
+            except DimensionError:
+                # the loop's greedy basis of some facet had the wrong size
+                with pytest.raises(DegeneracyError, match="column scales"):
+                    z.bounding_facets()
+                continue
+            assert facet_fields(z.bounding_facets()) == facet_fields(want)
+            if z.rank < z.n:
+                continue
+            til = tile_zonotope(z)
+            # one tile shifted along its first generator, one duplicated
+            shifted = Tile(til.tiles[0].columns, til.tiles[0].translation + 0.3 * z.matrix[:, til.tiles[0].columns[0]])
+            broken = Tiling([shifted] + til.tiles[1:] + til.tiles[-1:], til.source)
+            assert vars(validate_tiling(z, broken, tol)) == vars(oracles.loop_validate_tiling(z, broken, tol))
 
 
 class TestSerialization:

@@ -13,7 +13,7 @@ from zonokit.errors import CapacityError, DegeneracyError, DimensionError
 from zonokit.zonotope import RankDeficiencyWarning, Zonotope, signatures_match
 
 import oracles
-from fixture_matrices import hex_facet_generators, perturbed_hex_generators
+from fixture_matrices import hex_facet_generators, perturbed_hex_generators, scale_dependent_closure
 
 A0 = hex_facet_generators()
 
@@ -110,6 +110,13 @@ class TestGeneratingFaces:
         with pytest.raises(DegeneracyError):
             Zonotope(A0).generating_faces(4)
 
+    def test_chunked_closures_give_the_same_faces(self, monkeypatch):
+        z = Zonotope(np.random.default_rng(9).integers(-2, 3, size=(4, 8)).astype(float) + np.eye(4, 8))
+        whole = [z.generating_faces(s) for s in range(1, 5)]
+        monkeypatch.setattr(zonokit.numkit, "SUBSET_BATCH", 20)  # 2 subsets per chunk at k = 8
+        z = Zonotope(z.matrix)
+        assert [z.generating_faces(s) for s in range(1, 5)] == whole
+
 
 class TestBoundingFacets:
     def test_cube_normals(self):
@@ -153,6 +160,13 @@ class TestBoundingFacets:
     def test_rank_one_rejected(self):
         with pytest.raises(DegeneracyError):
             Zonotope([[1.0], [0.0]]).bounding_facets()
+
+    def test_scale_dependent_closure_is_a_degeneracy(self):
+        # used to escape as cross_product's DimensionError on four vectors in R^4
+        z = Zonotope(scale_dependent_closure())
+        assert z.rank == 4
+        with pytest.raises(DegeneracyError, match=r"columns \(0, 1, 2, 3, 4\).*depend on the column scales"):
+            z.bounding_facets()
 
     def test_minkowski_balance(self):
         # facet volume times outward normal sums to zero over the boundary
