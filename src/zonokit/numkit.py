@@ -152,6 +152,13 @@ def rank_batch(stack, tol=DEFAULT_TOL):
     return ranks
 
 
+def unit_columns(m):
+    """Columns scaled to unit length (zero columns stay zero)."""
+    a = as_matrix(m)
+    norms = np.linalg.norm(a, axis=0)
+    return a / np.where(norms > 0.0, norms, 1.0)
+
+
 def column_subsets(m, subsets):
     """(B, n, s) stack whose slice b is ``m[:, subsets[b]]`` (C-contiguous)."""
     a = as_matrix(m)

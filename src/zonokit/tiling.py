@@ -3,7 +3,8 @@
 Generators are added one at a time; each addition either extends every tile
 into the new dimension (rank grows) or glues a shell of new tiles onto the
 visible surface (rank stays). The result uses every independent full-size
-column subset exactly once.
+column subset exactly once. Independence is decided on the generators scaled
+to unit length (``units``, normalised once per tiling), as in ``Zonotope``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .numkit import as_matrix, as_vector, column_subsets, rank, rank_batch
+from .numkit import as_matrix, as_vector, column_subsets, rank, rank_batch, unit_columns
 from .zonotope import Zonotope
 
 
@@ -114,7 +115,7 @@ def _segment_cup(matrix, placed, g, tol):
     return [Tile((g,), translation)]
 
 
-def _cup(matrix, placed, g, tol, notes):
+def _cup(matrix, units, placed, g, tol, notes):
     """Tiles filling the gap when generator g does not raise the prefix rank."""
     prefix = Zonotope(matrix[:, placed], tol)
     r = prefix.rank
@@ -133,7 +134,7 @@ def _cup(matrix, placed, g, tol, notes):
                 visible.append(bf)
             elif abs(dot) <= cut:
                 face_cols = [placed[i] for i in bf.generating.columns]
-                if rank(matrix[:, face_cols + [g]], tol) == r - 1:
+                if rank(units[:, face_cols + [g]], tol) == r - 1:
                     continue  # generator lies in the facet span: no tile here
                 # independent by rank but numerically tangent: the dot sign
                 # still decides a side consistently; a dead-exact zero needs
@@ -155,7 +156,7 @@ def _cup(matrix, placed, g, tol, notes):
     tiles = []
     for bf in visible:
         face_cols = [placed[i] for i in bf.generating.columns]
-        inner = _tile_ordered(matrix, face_cols, tol, notes)
+        inner = _tile_ordered(matrix, units, face_cols, tol, notes)
         for t in inner:
             tiles.append(
                 Tile(tuple(sorted(t.columns + (g,))), bf.translation + t.translation)
@@ -163,17 +164,20 @@ def _cup(matrix, placed, g, tol, notes):
     return tiles
 
 
-def _tile_ordered(matrix, order, tol, notes):
-    """Tiles of the zonotope on ``order``'s columns, built in that order."""
+def _tile_ordered(matrix, units, order, tol, notes):
+    """Tiles of the zonotope on ``order``'s columns, built in that order.
+
+    ``units`` is ``matrix`` with unit columns; every rank is decided on it.
+    """
     placed = [order[0]]
     tiles = [Tile((order[0],), np.zeros(matrix.shape[0]))]
     cur_rank = 1
     for g in order[1:]:
-        new_rank = rank(matrix[:, placed + [g]], tol)
+        new_rank = rank(units[:, placed + [g]], tol)
         if new_rank == cur_rank + 1:
             tiles = [Tile(tuple(sorted(t.columns + (g,))), t.translation) for t in tiles]
         else:
-            tiles = tiles + _cup(matrix, placed, g, tol, notes)
+            tiles = tiles + _cup(matrix, units, placed, g, tol, notes)
         placed.append(g)
         cur_rank = new_rank
     return tiles
@@ -194,7 +198,7 @@ def tile_zonotope(z, order=None):
     if sorted(order) != list(range(z.k)):
         raise DimensionError("order must be a permutation of the generator indices")
     notes = {"order": list(order)}
-    tiles = _tile_ordered(z.matrix, order, z.tol, notes)
+    tiles = _tile_ordered(z.matrix, z.directions, order, z.tol, notes)
     tiles.sort(key=lambda t: t.columns)
     return Tiling(tiles, notes)
 
@@ -209,7 +213,7 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
     matrix = np.column_stack([z_prefix.matrix, g])
     notes = {}
     local = matrix.shape[1] - 1
-    raw = _cup(matrix, list(range(z_prefix.k)), local, z_prefix.tol, notes)
+    raw = _cup(matrix, unit_columns(matrix), list(range(z_prefix.k)), local, z_prefix.tol, notes)
     tiles = [
         Tile(
             tuple(sorted(new_index if c == local else c for c in t.columns)),
@@ -237,7 +241,7 @@ def validate_tiling(z, tiling, tol=None):
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
     combos = np.reshape(list(itertools.combinations(range(z.k), n)), (-1, n))
-    independent = combos[rank_batch(column_subsets(matrix, combos), tol) == n]
+    independent = combos[rank_batch(column_subsets(z.directions, combos), tol) == n]
     want = set(map(tuple, independent.tolist()))
     got = [t.columns for t in tiling.tiles]
     seen = set()

@@ -5,7 +5,10 @@ Everything here is derived from the defining matrix; the Zonotope object is
 immutable and caches its derived structure on first use.
 
 Faces are keyed by column subsets: a generating face by its closed column
-set, a vertex A 1_S by its sign vector S. Vertices are enumerated from the
+set, a vertex A 1_S by its sign vector S. Every rank decision on a column
+subset is made on the generators scaled to unit length, so it sees
+directions only. Each closed (rank-1)-dimensional generating face gives
+exactly one opposite pair of facets. Vertices are enumerated from the
 bounding facets, recursively down to zonogons and segments, which have
 closed forms; no candidate point or linear program is involved.
 """
@@ -64,7 +67,11 @@ class BoundingFacet:
 
 @dataclass(eq=False)
 class GeometricFacet:
-    """Coplanar bounding facets merged into one actual facet."""
+    """One actual facet of the zonotope: exactly one bounding facet.
+
+    ``constituents`` is that bounding facet as a one-element list; normal,
+    support and volume are its own.
+    """
 
     constituents: list
     unit_normal: np.ndarray
@@ -80,7 +87,12 @@ class Zonotope:
     """Zonotope given by its n x k defining matrix plus a tolerance.
 
     Zero generators are stripped at construction (recorded in
-    ``stripped_columns`` with a warning); all queries are pure and cached.
+    ``stripped_columns`` with a warning); the cut for that is taken from the
+    largest entry of the whole matrix. ``directions`` holds the remaining
+    generators scaled to unit length, and every rank decision on a column
+    subset (rank, parallel classes, face closures, the column-space basis)
+    is made on it, so positive column scaling changes none of them. All
+    queries are pure and cached.
     """
 
     def __init__(self, matrix, tol=DEFAULT_TOL):
@@ -101,6 +113,8 @@ class Zonotope:
         a = a[:, keep]
         a.setflags(write=False)
         self.matrix = a
+        self.directions = numkit.unit_columns(a)
+        self.directions.setflags(write=False)
         self.tol = tol
 
     @property
@@ -113,7 +127,7 @@ class Zonotope:
 
     @cached_property
     def rank(self):
-        return numkit.rank(self.matrix, self.tol)
+        return numkit.rank(self.directions, self.tol)
 
     @cached_property
     def parallel_classes(self):
@@ -126,7 +140,7 @@ class Zonotope:
             group = [i]
             assigned[i] = True
             for j in range(i + 1, self.k):
-                if not assigned[j] and numkit.rank(self.matrix[:, [i, j]], self.tol) == 1:
+                if not assigned[j] and numkit.rank(self.directions[:, [i, j]], self.tol) == 1:
                     group.append(j)
                     assigned[j] = True
             classes.append(tuple(group))
@@ -148,36 +162,43 @@ class Zonotope:
     def generating_faces(self, s):
         """All maximal column subsets of rank s, as GeneratingFace records.
 
-        s = 0 returns the generators themselves, one face per column.
+        s = 0 returns the generators themselves, one face per column. Ranks
+        are decided on ``directions``. Each face's first generating s-subset
+        in lexicographic order is kept alongside (``_face_cache[s]``); a
+        facet takes its normal from that subset.
         """
         if not 0 <= s <= self.rank:
             raise DegeneracyError(f"face dimension {s} outside 0..{self.rank}")
-        if s in self._face_cache:
-            return self._face_cache[s]
-        if s == 0:
-            faces = [GeneratingFace((i,), 0) for i in range(self.k)]
-        else:
-            closures = set()
-            combos = itertools.combinations(range(self.k), s)
-            while batch := list(itertools.islice(combos, max(1, numkit.SUBSET_BATCH // self.k))):
-                closures.update(self._closures(np.reshape(batch, (len(batch), s)), s))
-            faces = [GeneratingFace(c, s) for c in sorted(closures)]
-        self._face_cache[s] = faces
-        return faces
+        if s not in self._face_cache:
+            if s == 0:
+                bases = {(i,): (i,) for i in range(self.k)}
+            else:
+                bases = {}
+                combos = itertools.combinations(range(self.k), s)
+                while batch := list(itertools.islice(combos, max(1, numkit.SUBSET_BATCH // self.k))):
+                    for closure, base in self._closures(np.reshape(batch, (len(batch), s)), s):
+                        bases.setdefault(closure, base)
+            order = sorted(bases)
+            self._face_cache[s] = ([GeneratingFace(c, s) for c in order], [bases[c] for c in order])
+        return self._face_cache[s][0]
 
     def _closures(self, combos, s):
-        """Closed column sets of the rank-s subsets among the rows of ``combos``.
+        """(closed column set, subset) for the rank-s subsets among the rows of ``combos``.
 
         Column j is in a closure iff the subset plus j still has rank s; both
         the subsets and their extensions by every column are one stacked rank.
+        The pairs come in the order of ``combos``.
         """
-        ranks = numkit.rank_batch(numkit.column_subsets(self.matrix, combos), self.tol)
+        ranks = numkit.rank_batch(numkit.column_subsets(self.directions, combos), self.tol)
         base = combos[ranks == s]
         extended = np.column_stack(
             [np.repeat(base, self.k, axis=0), np.tile(np.arange(self.k), len(base))]
         )
-        inside = numkit.rank_batch(numkit.column_subsets(self.matrix, extended), self.tol) == s
-        return {tuple(np.flatnonzero(row).tolist()) for row in inside.reshape(-1, self.k)}
+        inside = numkit.rank_batch(numkit.column_subsets(self.directions, extended), self.tol) == s
+        return [
+            (tuple(np.flatnonzero(row).tolist()), tuple(b))
+            for b, row in zip(base.tolist(), inside.reshape(-1, self.k))
+        ]
 
     def zone(self, i):
         """Generating facets whose column set contains generator i."""
@@ -224,8 +245,8 @@ class Zonotope:
         """Orthonormal basis of the column space (identity-free when full rank)."""
         if self.rank == self.n:
             return None
-        picked = numkit.independent_columns(self.matrix, self.tol)
-        q, _ = numkit.qr_decompose(self.matrix[:, picked], self.tol)
+        picked = numkit.independent_columns(self.directions, self.tol)
+        q, _ = numkit.qr_decompose(self.directions[:, picked], self.tol)
         return q
 
     @cached_property
@@ -235,8 +256,9 @@ class Zonotope:
         basis = self._column_space_basis
         coords = self.matrix if basis is None else basis.T @ self.matrix
         faces = self.generating_faces(self.rank - 1)
+        bases = self._face_cache[self.rank - 1][1]
         facets = []
-        for face, normal in zip(faces, _facet_normals(coords, faces, self.tol)):
+        for face, normal in zip(faces, _facet_normals(coords, bases)):
             if basis is not None:
                 normal = basis @ normal
             normal = normal / np.linalg.norm(normal)
@@ -272,44 +294,15 @@ class Zonotope:
 
     @cached_property
     def _geometric_facets(self):
-        facets = self._bounding_facets
-        m = len(facets)
-        keys = []
-        for bf in facets:
-            g = numkit.sign_normalize(bf.unit_normal, self.tol)
-            sigma = 1.0 if float(g @ bf.unit_normal) > 0 else -1.0
-            keys.append((g, sigma * bf.support))
-        cut_n = self.tol.threshold(1.0)
-        supports = [abs(h) for _, h in keys] or [0.0]
-        cut_h = self.tol.threshold(max(supports))
-        parent = list(range(m))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                gi, hi = keys[i]
-                gj, hj = keys[j]
-                if _vec_close(gi, gj, cut_n) and abs(hi - hj) <= cut_h:
-                    parent[find(j)] = find(i)
-        clusters = {}
-        for i in range(m):
-            clusters.setdefault(find(i), []).append(facets[i])
-        out = []
-        for members in clusters.values():
-            lead = members[0]
-            out.append(
-                GeometricFacet(
-                    constituents=members,
-                    unit_normal=lead.unit_normal.copy(),
-                    support=lead.support,
-                    volume=float(sum(bf.volume for bf in members)),
-                )
+        out = [
+            GeometricFacet(
+                constituents=[bf],
+                unit_normal=bf.unit_normal.copy(),
+                support=bf.support,
+                volume=float(bf.volume),
             )
+            for bf in self._bounding_facets
+        ]
         out.sort(key=lambda f: (tuple(np.round(f.unit_normal, 9)), round(f.support, 9)))
         return out
 
@@ -319,25 +312,10 @@ class Zonotope:
     def facet_signature(self):
         """Canonical multiset of (sign-normalized unit normal, facet volume).
 
-        One entry per opposite facet pair, ordered lexicographically.
+        One entry per opposite facet pair, that is per "plus" bounding facet,
+        whose normal is already sign-normalized; ordered lexicographically.
         """
-        geo = self._geometric_facets
-        cut_n = self.tol.threshold(1.0)
-        entries = []
-        used = [False] * len(geo)
-        for i, f in enumerate(geo):
-            if used[i]:
-                continue
-            g = numkit.sign_normalize(f.unit_normal, self.tol)
-            for j in range(i + 1, len(geo)):
-                if used[j]:
-                    continue
-                gj = numkit.sign_normalize(geo[j].unit_normal, self.tol)
-                if _vec_close(g, gj, cut_n):
-                    used[j] = True
-                    break
-            used[i] = True
-            entries.append((tuple(g), f.volume))
+        entries = [(tuple(bf.unit_normal), bf.volume) for bf in self._bounding_facets if bf.side == "plus"]
         entries.sort(key=lambda e: (tuple(round(x, 9) for x in e[0]), round(e[1], 9)))
         return tuple(entries)
 
@@ -406,34 +384,14 @@ class Zonotope:
         return [s for _, s in self._vertices]
 
 
-def _facet_normals(coords, faces, tol):
-    """Cross product of each face's greedy independent columns, one row per face.
+def _facet_normals(coords, bases):
+    """Cross product of each face's generating (r-1)-subset, one row per face.
 
-    The columns are those ``numkit.independent_columns`` picks from
-    ``coords[:, face.columns]``, found for all faces at once with one stacked
-    rank per greedy step and trial size; component i of every normal is one
-    stacked determinant with row i deleted.
+    Component i of every normal is one stacked determinant with row i deleted.
     """
     r = coords.shape[0]
-    picked = [[] for _ in faces]
-    for j in range(max((len(f.columns) for f in faces), default=0)):
-        trials = {}
-        for f, face in enumerate(faces):
-            if j < len(face.columns):
-                trials.setdefault(len(picked[f]) + 1, []).append(f)
-        for size, members in trials.items():
-            stack = numkit.column_subsets(coords, [picked[f] + [faces[f].columns[j]] for f in members])
-            for f, got in zip(members, numkit.rank_batch(stack, tol)):
-                if got == size:
-                    picked[f].append(faces[f].columns[j])
-    for face, cols in zip(faces, picked):
-        if len(cols) != r - 1:
-            raise DegeneracyError(
-                f"generating facet on columns {face.columns} has {len(cols)} greedy independent "
-                f"columns in rank {r}, not {r - 1}: the rank decisions depend on the column scales"
-            )
-    stack = numkit.column_subsets(coords, np.reshape(picked, (len(faces), r - 1)))
-    normals = np.empty((len(faces), r))
+    stack = numkit.column_subsets(coords, bases)
+    normals = np.empty((len(bases), r))
     keep = np.ones(r, dtype=bool)
     for i in range(r):
         keep[i] = False

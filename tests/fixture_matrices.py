@@ -5,8 +5,9 @@ dependent, so its zonotope has a pair of hexagonal facets and one degenerate
 generator triple; ``perturbed_hex_generators`` lifts the dependency.
 ``gram_equal_pairs`` are four (A, B) pairs with equal column Grams and equal
 row Grams, exercising the comparison-condition calculus.
-``scale_dependent_closure`` is a full-rank 4x5 matrix whose facet pass cannot
-succeed while rank cuts depend on each submatrix's largest entry.
+``scale_dependent_closure`` and ``spread_scale_mesh`` are full-rank matrices
+whose faces come out wrong when rank cuts depend on each submatrix's largest
+entry rather than on the column directions.
 """
 
 import numpy as np
@@ -29,12 +30,14 @@ def perturbed_hex_generators(eps):
 
 
 def scale_dependent_closure():
-    """Rank 4, yet the closure of a 3-subset takes all five columns.
+    """Rank 4 with column norms from 0.01 to 5e4; 10 generating facets.
 
-    ``numkit.rank`` takes its cut from each submatrix's largest entry, so the
-    columns of norm ~0.01 count as dependent next to the 1e4 columns in some
-    submatrices and as independent in others: the greedy basis of that
-    closure has four columns, not three.
+    ``numkit.rank`` takes its cut from each submatrix's largest entry, so on
+    the raw columns the columns of norm ~0.01 count as dependent next to the
+    1e4 columns in some submatrices and as independent in others, and the
+    closure of a 3-subset took all five columns. On unit columns every
+    exactly independent 4-subset (there are 5) is independent and the facets
+    are the exact ones.
     """
     return np.array(
         [
@@ -42,6 +45,21 @@ def scale_dependent_closure():
             [-30000.0, 0.0, -2000.0, -0.02, 200.0],
             [-10000.0, -0.0001, 0.0, -0.01, -300.0],
             [30000.0, 0.0001, 3000.0, 0.01, 100.0],
+        ]
+    )
+
+
+def spread_scale_mesh():
+    """Rank 3 with column norms from 1.8e-4 to 1.9e4: 15 facet pairs, 32 vertices.
+
+    With rank cuts taken from the raw submatrices, ``zonokit mesh`` wrote 30
+    vertices and 26 facets and exited 0.
+    """
+    return np.array(
+        [
+            [0.0, 0.05, 0.1, 4.0, -9e-05, 5000.0],
+            [20.0, 0.19, 0.0, -13.0, -0.0001, 15000.0],
+            [-50.0, -0.21, -0.06, 0.0, 0.00012, -10000.0],
         ]
     )
 

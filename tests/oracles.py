@@ -280,7 +280,14 @@ def backtrack_congruent(a, b, tol):
 #
 # One numkit.rank, cross_product or np.linalg.det call per subset, face or
 # tile, as the package computed them before it stacked them; the stacked code
-# must return exactly the same values.
+# must return exactly the same values. Ranks are decided on the generators
+# scaled to unit length (``directions``), as the package does; cross products,
+# volumes and translations use the raw matrix.
+
+
+def directions(m):
+    """Columns of ``m`` scaled to unit length."""
+    return m / np.linalg.norm(m, axis=0)
 
 
 def loop_subset_determinants(m, size):
@@ -309,29 +316,34 @@ def loop_generating_faces(z, s):
 
     if s == 0:
         return [GeneratingFace((i,), 0) for i in range(z.k)]
+    dirs = directions(z.matrix)
     seen = {}
     for combo in combinations(range(z.k), s):
-        if rank(z.matrix[:, combo], z.tol) != s:
+        if rank(dirs[:, combo], z.tol) != s:
             continue
-        closure = tuple(j for j in range(z.k) if rank(z.matrix[:, combo + (j,)], z.tol) == s)
+        closure = tuple(j for j in range(z.k) if rank(dirs[:, combo + (j,)], z.tol) == s)
         seen[closure] = GeneratingFace(closure, s)
     return [seen[c] for c in sorted(seen)]
 
 
 def loop_bounding_facets(z):
-    """Both sides of every generating facet, one cross product per face."""
+    """Both sides of every generating facet, one cross product per face.
+
+    The cross product is taken over the face's greedy independent columns.
+    """
     from zonokit import numkit
     from zonokit.zonotope import BoundingFacet
 
     r = z.rank
+    dirs = directions(z.matrix)
     basis = None
     if r < z.n:
-        picked = numkit.independent_columns(z.matrix, z.tol)
-        basis, _ = numkit.qr_decompose(z.matrix[:, picked], z.tol)
+        picked = numkit.independent_columns(dirs, z.tol)
+        basis, _ = numkit.qr_decompose(dirs[:, picked], z.tol)
     coords = z.matrix if basis is None else basis.T @ z.matrix
     facets = []
     for face in loop_generating_faces(z, r - 1):
-        picked = numkit.independent_columns(coords[:, face.columns], z.tol)
+        picked = numkit.independent_columns(dirs[:, face.columns], z.tol)
         normal = numkit.cross_product([coords[:, face.columns[j]] for j in picked])
         if basis is not None:
             normal = basis @ normal
@@ -360,7 +372,8 @@ def loop_validate_tiling(z, tiling, tol):
     vol_sum = float(sum(abs(np.linalg.det(matrix[:, list(t.columns)])) for t in tiling.tiles))
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
-    want = {combo for combo in combinations(range(z.k), n) if rank(matrix[:, combo], tol) == n}
+    dirs = directions(matrix)
+    want = {combo for combo in combinations(range(z.k), n) if rank(dirs[:, combo], tol) == n}
     got = [t.columns for t in tiling.tiles]
     seen, duplicates = set(), []
     for c in got:
@@ -407,3 +420,14 @@ def loop_validate_tiling(z, tiling, tol):
         disjoint_violations=disjoint,
         containment_violations=outside,
     )
+
+
+def exact_faces(m, s):
+    """Sorted closed column sets of the rank-s column subsets, by exact rank."""
+    a = np.asarray(m, dtype=float)
+    k = a.shape[1]
+    closures = set()
+    for combo in combinations(range(k), s):
+        if exact_rank(a[:, combo]) == s:
+            closures.add(tuple(j for j in range(k) if exact_rank(a[:, combo + (j,)]) == s))
+    return sorted(closures)

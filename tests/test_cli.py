@@ -1,14 +1,16 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from zonokit import cli
 from zonokit.congruence import CongruenceWitness
+from zonokit.tiling import Tiling
 from zonokit.zonotope import Zonotope
 
 import oracles
-from fixture_matrices import hex_facet_generators, scale_dependent_closure
+from fixture_matrices import hex_facet_generators, scale_dependent_closure, spread_scale_mesh
 
 A0 = hex_facet_generators()
 
@@ -197,14 +199,18 @@ class TestTileCommand:
         write_text_matrix(p, A0[:, [0, 1, 2]])
         assert cli.main(["tile", str(p)]) == 3
 
-    def test_scale_dependent_closure_exit10(self, tmp_path, capsys):
+    def test_scale_dependent_closure_tiles_exactly(self, tmp_path, capsys):
+        a = scale_dependent_closure()
         p = tmp_path / "m.json"
-        write_json_matrix(p, scale_dependent_closure())
-        assert cli.main(["tile", str(p), "--out", str(tmp_path / "t.json")]) == 10
-        err = capsys.readouterr().err
-        assert "generating facet on columns (0, 1, 2, 3, 4)" in err
-        assert "depend on the column scales" in err
-        assert "n-1 vectors" not in err
+        write_json_matrix(p, a)
+        out = tmp_path / "t.json"
+        assert cli.main(["tile", str(p), "--out", str(out)]) == 0
+        assert "validation pass" in capsys.readouterr().out
+        til = Tiling.from_dict(json.loads(out.read_text()))
+        want = [c for c in combinations(range(5), 4) if oracles.exact_rank(a[:, c]) == 4]
+        assert til.census() == want and len(want) == 5
+        exact = float(oracles.minor_sum_volume(a, 4))
+        assert abs(til.volume_sum(a) - exact) <= 1e-8 * exact
 
     def test_explicit_order(self, a0_file, tmp_path):
         out = tmp_path / "t.json"
@@ -305,6 +311,17 @@ class TestMeshCommand:
             for i in range(len(poly)):
                 normal += np.cross(poly[i], poly[(i + 1) % len(poly)])
             assert float(normal @ outward) > 0
+
+    def test_spread_column_scales_match_exact_counts(self, tmp_path):
+        a = spread_scale_mesh()
+        p = tmp_path / "m.json"
+        write_json_matrix(p, a)
+        out = tmp_path / "m.off"
+        assert cli.main(["mesh", str(p), "--out", str(out)]) == 0
+        masks = (np.arange(64)[:, None] >> np.arange(6)) & 1
+        assert len(oracles.hull_vertex_set(masks.astype(float) @ a.T)) == 32
+        assert len(oracles.exact_faces(a, 2)) == 15
+        assert out.read_text().splitlines()[1] == "32 30 0"
 
     def test_wrong_rank_exit5(self, tmp_path):
         p = tmp_path / "m.txt"

@@ -296,14 +296,7 @@ class TestAgainstLoopReferences:
                 assert z.generating_faces(s) == oracles.loop_generating_faces(z, s)
             if z.rank < 2:
                 continue
-            try:
-                want = oracles.loop_bounding_facets(z)
-            except DimensionError:
-                # the loop's greedy basis of some facet had the wrong size
-                with pytest.raises(DegeneracyError, match="column scales"):
-                    z.bounding_facets()
-                continue
-            assert facet_fields(z.bounding_facets()) == facet_fields(want)
+            assert facet_fields(z.bounding_facets()) == facet_fields(oracles.loop_bounding_facets(z))
             if z.rank < z.n:
                 continue
             til = tile_zonotope(z)

@@ -13,7 +13,7 @@ from zonokit.errors import CapacityError, DegeneracyError, DimensionError
 from zonokit.zonotope import RankDeficiencyWarning, Zonotope, signatures_match
 
 import oracles
-from fixture_matrices import hex_facet_generators, perturbed_hex_generators, scale_dependent_closure
+from fixture_matrices import hex_facet_generators, perturbed_hex_generators, scale_dependent_closure, spread_scale_mesh
 
 A0 = hex_facet_generators()
 
@@ -161,12 +161,18 @@ class TestBoundingFacets:
         with pytest.raises(DegeneracyError):
             Zonotope([[1.0], [0.0]]).bounding_facets()
 
-    def test_scale_dependent_closure_is_a_degeneracy(self):
-        # used to escape as cross_product's DimensionError on four vectors in R^4
-        z = Zonotope(scale_dependent_closure())
-        assert z.rank == 4
-        with pytest.raises(DegeneracyError, match=r"columns \(0, 1, 2, 3, 4\).*depend on the column scales"):
-            z.bounding_facets()
+    @pytest.mark.parametrize("fixture", [scale_dependent_closure, spread_scale_mesh])
+    def test_spread_column_scales_give_the_exact_facets(self, fixture):
+        a = fixture()
+        z = Zonotope(a)
+        assert z.rank == a.shape[0]
+        want = oracles.exact_faces(a, z.rank - 1)
+        assert [f.columns for f in z.generating_faces(z.rank - 1)] == want
+        assert len(want) == {4: 10, 3: 15}[z.rank]
+        assert [bf.generating.columns for bf in z.bounding_facets()] == [c for c in want for _ in range(2)]
+        for bf in z.bounding_facets():
+            for j in bf.generating.columns:
+                assert abs(float(z.directions[:, j] @ bf.unit_normal)) <= 1e-9
 
     def test_minkowski_balance(self):
         # facet volume times outward normal sums to zero over the boundary
