@@ -1,10 +1,14 @@
-"""Parallelotope tilings of zonotopes by the shelling induction.
+"""Parallelotope tilings of zonotopes, as built by the shelling induction.
 
-Generators are added one at a time; each addition either extends every tile
-into the new dimension (rank grows) or glues a shell of new tiles onto the
-visible surface (rank stays). The result uses every independent full-size
-column subset exactly once. Independence is decided on the generators scaled
-to unit length (``units``, normalised once per tiling), as in ``Zonotope``.
+The shelling adds generators one at a time; each addition either extends
+every tile into the new dimension (rank grows) or glues a cup of new tiles
+onto the visible surface (rank stays). Its result is the regular tiling got
+by lifting each generator to a height that grows steeply with its place in
+the insertion order, so it is computed here in closed form: one rank census
+of the n-subsets and the signs of their n x n minors give every tile and its
+translation. Each independent full-size column subset is used exactly once.
+Independence is decided on the generators scaled to unit length
+(``units``), as in ``Zonotope``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .numkit import as_matrix, as_vector, column_subsets, rank, rank_batch, unit_columns
-from .zonotope import Zonotope
+from .numkit import as_matrix, as_vector, column_subsets, rank_batch, unit_columns
 
 
 @dataclass(eq=False)
@@ -106,89 +109,61 @@ def visible_surface(z, direction, tol=None):
     return [bf for bf in z.bounding_facets() if float(bf.unit_normal @ d) > cut]
 
 
-def _segment_cup(matrix, placed, g, tol):
-    """One new tile when everything so far lies on a single line."""
-    gvec = matrix[:, g]
-    ghat = gvec / np.linalg.norm(gvec)
-    pos = [i for i in placed if float(matrix[:, i] @ ghat) > 0.0]
-    translation = matrix[:, pos].sum(axis=1) if pos else np.zeros(matrix.shape[0])
-    return [Tile((g,), translation)]
+def _independent_subsets(units, n, tol):
+    """Lexicographic (T, n) array of the n-subsets of independent unit columns.
 
-
-def _cup(matrix, units, placed, g, tol, notes):
-    """Tiles filling the gap when generator g does not raise the prefix rank."""
-    prefix = Zonotope(matrix[:, placed], tol)
-    r = prefix.rank
-    if r == 1:
-        return _segment_cup(matrix, placed, g, tol)
-    gvec = matrix[:, g]
-    facets = prefix.bounding_facets()
-    direction = gvec.copy()
-    for attempt in range(6):
-        cut = tol.threshold(float(np.linalg.norm(direction)))
-        visible = []
-        ties = False
-        for bf in facets:
-            dot = float(bf.unit_normal @ direction)
-            if dot > cut:
-                visible.append(bf)
-            elif abs(dot) <= cut:
-                face_cols = [placed[i] for i in bf.generating.columns]
-                if rank(units[:, face_cols + [g]], tol) == r - 1:
-                    continue  # generator lies in the facet span: no tile here
-                # independent by rank but numerically tangent: the dot sign
-                # still decides a side consistently; a dead-exact zero needs
-                # the perturbation fallback
-                if dot > 0.0:
-                    visible.append(bf)
-                elif dot == 0.0:
-                    ties = True
-                    break
-        if not ties:
-            break
-        delta = 16.0 * tol.abs * (8.0 ** attempt)
-        direction = direction + delta * facets[0].unit_normal
-        notes.setdefault("perturbations", []).append(
-            {"generator": int(g), "delta": delta}
-        )
-    else:
-        raise DegeneracyError("could not resolve visibility ties by perturbation")
-    tiles = []
-    for bf in visible:
-        face_cols = [placed[i] for i in bf.generating.columns]
-        inner = _tile_ordered(matrix, units, face_cols, tol, notes)
-        for t in inner:
-            tiles.append(
-                Tile(tuple(sorted(t.columns + (g,))), bf.translation + t.translation)
-            )
-    return tiles
-
-
-def _tile_ordered(matrix, units, order, tol, notes):
-    """Tiles of the zonotope on ``order``'s columns, built in that order.
-
-    ``units`` is ``matrix`` with unit columns; every rank is decided on it.
+    This is the census of every tiling: each row is the column set of
+    exactly one tile.
     """
-    placed = [order[0]]
-    tiles = [Tile((order[0],), np.zeros(matrix.shape[0]))]
-    cur_rank = 1
-    for g in order[1:]:
-        new_rank = rank(units[:, placed + [g]], tol)
-        if new_rank == cur_rank + 1:
-            tiles = [Tile(tuple(sorted(t.columns + (g,))), t.translation) for t in tiles]
-        else:
-            tiles = tiles + _cup(matrix, units, placed, g, tol, notes)
-        placed.append(g)
-        cur_rank = new_rank
+    combos = np.reshape(list(itertools.combinations(range(units.shape[1]), n)), (-1, n))
+    return combos[rank_batch(column_subsets(units, combos), tol) == n]
+
+
+def _lifted_tiles(matrix, units, order, tol):
+    """Tiles of the tiling the shelling builds when adding columns in ``order``.
+
+    That tiling is the regular one got by lifting column g to height
+    t**pos(g), pos its place in ``order``, as t grows without bound. Tile B is
+    translated by the columns j whose lifted minor det[B | j] has the sign
+    opposite to det A_B. Expanding that minor along the height row, only the
+    term of the highest-placed column c of B + j whose removal leaves an
+    independent subset counts, so every sign is that of an n x n minor of A.
+    Independence is decided on ``units``; translations sum ``matrix`` columns
+    by place in ``order``.
+    """
+    n = matrix.shape[0]
+    census = _independent_subsets(units, n, tol)
+    dets = np.linalg.det(column_subsets(matrix, census))
+    sign = dict(zip(map(tuple, census.tolist()), np.sign(dets).tolist()))
+    place = {g: i for i, g in enumerate(order)}
+    tiles = []
+    for b, sign_b in sign.items():
+        side = []
+        for j in order:
+            if j in b:
+                continue
+            members = b + (j,)
+            for c in sorted(members, key=place.__getitem__, reverse=True):
+                rest = tuple(sorted(x for x in members if x != c))
+                if rest in sign:
+                    break
+            # [B, j] without c, sorted: j passes the remaining columns above it
+            flips = 0 if c == j else sum(x > j for x in b if x != c)
+            p = members.index(c) + 1
+            if (-1) ** (n + 1 + p + flips) * sign[rest] == -sign_b:
+                side.append(j)
+        tiles.append(Tile(b, matrix[:, side].sum(axis=1)))
     return tiles
 
 
 def tile_zonotope(z, order=None):
     """Tile a full-rank zonotope into translated generating parallelotopes.
 
-    ``order`` is the generator insertion order (default natural). Every
-    independent n-subset of columns appears exactly once and the tile volumes
-    sum to the zonotope volume.
+    ``order`` is the generator insertion order (default natural). The tiling
+    is the one the shelling induction builds by adding generators in that
+    order, computed in closed form from the lexicographic lift. Every
+    independent n-subset of columns appears exactly once, tiles come sorted
+    by columns, and the tile volumes sum to the zonotope volume.
     """
     if z.rank < z.n:
         raise DegeneracyError(f"tiling needs full rank, got {z.rank} < {z.n}")
@@ -197,10 +172,7 @@ def tile_zonotope(z, order=None):
     order = [int(i) for i in order]
     if sorted(order) != list(range(z.k)):
         raise DimensionError("order must be a permutation of the generator indices")
-    notes = {"order": list(order)}
-    tiles = _tile_ordered(z.matrix, z.directions, order, z.tol, notes)
-    tiles.sort(key=lambda t: t.columns)
-    return Tiling(tiles, notes)
+    return Tiling(_lifted_tiles(z.matrix, z.directions, order, z.tol), {"order": order})
 
 
 def cup_of_cubes(z_prefix, new_gen, new_index):
@@ -211,15 +183,15 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
     if g.size != z_prefix.n:
         raise DimensionError("new generator dimension mismatch")
     matrix = np.column_stack([z_prefix.matrix, g])
-    notes = {}
     local = matrix.shape[1] - 1
-    raw = _cup(matrix, unit_columns(matrix), list(range(z_prefix.k)), local, z_prefix.tol, notes)
+    lifted = _lifted_tiles(matrix, unit_columns(matrix), list(range(local + 1)), z_prefix.tol)
     tiles = [
         Tile(
             tuple(sorted(new_index if c == local else c for c in t.columns)),
             t.translation,
         )
-        for t in raw
+        for t in lifted
+        if local in t.columns
     ]
     tiles.sort(key=lambda t: t.columns)
     return CupOfCubes(new_index, tiles)
@@ -240,9 +212,7 @@ def validate_tiling(z, tiling, tol=None):
     vol_sum = tiling.volume_sum(matrix)
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
-    combos = np.reshape(list(itertools.combinations(range(z.k), n)), (-1, n))
-    independent = combos[rank_batch(column_subsets(z.directions, combos), tol) == n]
-    want = set(map(tuple, independent.tolist()))
+    want = set(map(tuple, _independent_subsets(z.directions, n, tol).tolist()))
     got = [t.columns for t in tiling.tiles]
     seen = set()
     duplicates = []

@@ -431,3 +431,143 @@ def exact_faces(m, s):
         if exact_rank(a[:, combo]) == s:
             closures.add(tuple(j for j in range(k) if exact_rank(a[:, combo + (j,)]) == s))
     return sorted(closures)
+
+
+# -- shelling tiling, kept as the reference for the lifted tiling ------------
+#
+# The package's tiling code before it computed tiles from the lexicographic
+# lift: generators join one at a time, each either extending every tile or
+# gluing a cup of tiles onto the visible surface of a prefix Zonotope, with a
+# perturbation loop for exact visibility ties. Ranks are decided on unit
+# columns. The lifted tiling must return exactly the same tiles.
+
+
+def _shelling_segment_cup(matrix, placed, g, tol):
+    """One new tile when everything so far lies on a single line."""
+    from zonokit.tiling import Tile
+
+    gvec = matrix[:, g]
+    ghat = gvec / np.linalg.norm(gvec)
+    pos = [i for i in placed if float(matrix[:, i] @ ghat) > 0.0]
+    translation = matrix[:, pos].sum(axis=1) if pos else np.zeros(matrix.shape[0])
+    return [Tile((g,), translation)]
+
+
+def _shelling_cup(matrix, units, placed, g, tol, notes):
+    """Tiles filling the gap when generator g does not raise the prefix rank."""
+    from zonokit.errors import DegeneracyError
+    from zonokit.numkit import rank
+    from zonokit.tiling import Tile
+    from zonokit.zonotope import Zonotope
+
+    prefix = Zonotope(matrix[:, placed], tol)
+    r = prefix.rank
+    if r == 1:
+        return _shelling_segment_cup(matrix, placed, g, tol)
+    gvec = matrix[:, g]
+    facets = prefix.bounding_facets()
+    direction = gvec.copy()
+    for attempt in range(6):
+        cut = tol.threshold(float(np.linalg.norm(direction)))
+        visible = []
+        ties = False
+        for bf in facets:
+            dot = float(bf.unit_normal @ direction)
+            if dot > cut:
+                visible.append(bf)
+            elif abs(dot) <= cut:
+                face_cols = [placed[i] for i in bf.generating.columns]
+                if rank(units[:, face_cols + [g]], tol) == r - 1:
+                    continue  # generator lies in the facet span: no tile here
+                # independent by rank but numerically tangent: the dot sign
+                # still decides a side consistently; a dead-exact zero needs
+                # the perturbation fallback
+                if dot > 0.0:
+                    visible.append(bf)
+                elif dot == 0.0:
+                    ties = True
+                    break
+        if not ties:
+            break
+        delta = 16.0 * tol.abs * (8.0 ** attempt)
+        direction = direction + delta * facets[0].unit_normal
+        notes.setdefault("perturbations", []).append(
+            {"generator": int(g), "delta": delta}
+        )
+    else:
+        raise DegeneracyError("could not resolve visibility ties by perturbation")
+    tiles = []
+    for bf in visible:
+        face_cols = [placed[i] for i in bf.generating.columns]
+        inner = _shelling_tile_ordered(matrix, units, face_cols, tol, notes)
+        for t in inner:
+            tiles.append(
+                Tile(tuple(sorted(t.columns + (g,))), bf.translation + t.translation)
+            )
+    return tiles
+
+
+def _shelling_tile_ordered(matrix, units, order, tol, notes):
+    """Tiles of the zonotope on ``order``'s columns, built in that order.
+
+    ``units`` is ``matrix`` with unit columns; every rank is decided on it.
+    """
+    from zonokit.numkit import rank
+    from zonokit.tiling import Tile
+
+    placed = [order[0]]
+    tiles = [Tile((order[0],), np.zeros(matrix.shape[0]))]
+    cur_rank = 1
+    for g in order[1:]:
+        new_rank = rank(units[:, placed + [g]], tol)
+        if new_rank == cur_rank + 1:
+            tiles = [Tile(tuple(sorted(t.columns + (g,))), t.translation) for t in tiles]
+        else:
+            tiles = tiles + _shelling_cup(matrix, units, placed, g, tol, notes)
+        placed.append(g)
+        cur_rank = new_rank
+    return tiles
+
+
+def shelling_tile_zonotope(z, order=None):
+    """tile_zonotope by the shelling induction in ``order`` (default natural)."""
+    from zonokit.errors import DegeneracyError, DimensionError
+    from zonokit.tiling import Tiling
+
+    if z.rank < z.n:
+        raise DegeneracyError(f"tiling needs full rank, got {z.rank} < {z.n}")
+    if order is None:
+        order = list(range(z.k))
+    order = [int(i) for i in order]
+    if sorted(order) != list(range(z.k)):
+        raise DimensionError("order must be a permutation of the generator indices")
+    notes = {"order": list(order)}
+    tiles = _shelling_tile_ordered(z.matrix, z.directions, order, z.tol, notes)
+    tiles.sort(key=lambda t: t.columns)
+    return Tiling(tiles, notes)
+
+
+def shelling_cup_of_cubes(z_prefix, new_gen, new_index):
+    """cup_of_cubes as one shelling step appending ``new_gen`` to the prefix."""
+    from zonokit.errors import DegeneracyError, DimensionError
+    from zonokit.numkit import as_vector, unit_columns
+    from zonokit.tiling import CupOfCubes, Tile
+
+    if z_prefix.rank < z_prefix.n:
+        raise DegeneracyError("cup_of_cubes needs a full-rank prefix")
+    g = as_vector(new_gen)
+    if g.size != z_prefix.n:
+        raise DimensionError("new generator dimension mismatch")
+    matrix = np.column_stack([z_prefix.matrix, g])
+    notes = {}
+    local = matrix.shape[1] - 1
+    raw = _shelling_cup(matrix, unit_columns(matrix), list(range(z_prefix.k)), local, z_prefix.tol, notes)
+    tiles = [
+        Tile(
+            tuple(sorted(new_index if c == local else c for c in t.columns)),
+            t.translation,
+        )
+        for t in raw
+    ]
+    tiles.sort(key=lambda t: t.columns)
+    return CupOfCubes(new_index, tiles)

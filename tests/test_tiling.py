@@ -136,7 +136,7 @@ class TestTileZonotope:
 
     def test_near_threshold_tangent_generator(self):
         # generator almost in a facet plane: the rank census still expects its
-        # tile, and visibility follows the dot sign
+        # tile, and the sign of the minor det A[:, (0, 1, 3)] places it
         for delta in (3e-9, 1e-8, -3e-9):
             m = np.column_stack([np.eye(3), [1.0, 1.0, delta]])
             z = Zonotope(m)
@@ -304,6 +304,70 @@ class TestAgainstLoopReferences:
             shifted = Tile(til.tiles[0].columns, til.tiles[0].translation + 0.3 * z.matrix[:, til.tiles[0].columns[0]])
             broken = Tiling([shifted] + til.tiles[1:] + til.tiles[-1:], til.source)
             assert vars(validate_tiling(z, broken, tol)) == vars(oracles.loop_validate_tiling(z, broken, tol))
+
+
+def tile_bits(tiles):
+    return [(t.columns, [x.hex() for x in t.translation.tolist()]) for t in tiles]
+
+
+def outcome(fn, *args):
+    """Tiles with bit-exact translations, or the exception's type and text."""
+    try:
+        return tile_bits(fn(*args).tiles)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstShelling:
+    """The lifted tiling equals the shelling induction bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    def test_seeded_differential(self):
+        rng = np.random.default_rng(606)
+        for trial in range(144):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(n, 11))
+            tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
+            a = differential_matrix(rng, trial, n, k)
+            if trial // 4 % 3 == 1:  # integer entries: make one column antiparallel to another
+                i, j = rng.choice(k, size=2, replace=False)
+                a[:, j] = -float(rng.integers(1, 3)) * a[:, i]
+            z = Zonotope(a, tol)
+            order = None if trial % 3 == 0 else [int(i) for i in rng.permutation(z.k)]
+            assert outcome(tile_zonotope, z, order) == outcome(oracles.shelling_tile_zonotope, z, order)
+            if k == n:
+                continue
+            prefix = Zonotope(a[:, :-1], tol)
+            index = int(rng.integers(0, k + 2))
+            assert outcome(cup_of_cubes, prefix, a[:, -1], index) == outcome(
+                oracles.shelling_cup_of_cubes, prefix, a[:, -1], index
+            )
+
+
+class TestInductionStep:
+    """Tiling Z(A) = tiling of the prefix plus the cup of the last generator."""
+
+    def test_seeded_prefix_plus_cup(self):
+        rng = np.random.default_rng(707)
+        checked = 0
+        for trial in range(300):
+            n = 2 + trial % 3
+            k = int(rng.integers(n + 1, n + 6))
+            if trial % 2:
+                a = rng.integers(-2, 3, size=(n, k)).astype(float)
+                a[0, ~a.any(axis=0)] = 1.0  # no zero generators
+            else:
+                a = rng.normal(size=(n, k))
+            prefix = Zonotope(a[:, :-1])
+            if prefix.rank < n:
+                continue
+            whole = tile_bits(tile_zonotope(Zonotope(a)).tiles)
+            old = tile_bits(tile_zonotope(prefix).tiles)
+            cup = tile_bits(cup_of_cubes(prefix, a[:, -1], k - 1).tiles)
+            assert not {c for c, _ in old} & {c for c, _ in cup}
+            assert whole == sorted(old + cup)
+            checked += 1
+        assert checked > 250
 
 
 class TestSerialization:
