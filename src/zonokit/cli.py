@@ -207,11 +207,7 @@ def cmd_congruent(args, cfg):
     b = load_matrix(args.b)
     if a.shape[1] != b.shape[1]:
         raise ParseFailure("matrices must have equal column counts")
-    try:
-        witness = congruence.congruent_zonotopes(a, b, cfg.tol)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    witness = congruence.congruent_zonotopes(a, b, cfg.tol)
     if witness is None:
         print("not congruent")
         return EXIT_NEGATIVE
@@ -287,16 +283,11 @@ def cmd_mesh(args, cfg):
     if z.rank != 3 or z.n != 3:
         print(f"mesh export needs rank 3 in R^3, got rank {z.rank} in R^{z.n}", file=sys.stderr)
         return EXIT_MESH_RANK
-    try:
-        text = off_mesh(z)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    text = off_mesh(z)
     out = cfg.out or "mesh.off"
     with open(out, "w") as fh:
         fh.write(text)
-    verts = text.splitlines()[1].split()[0]
-    faces = text.splitlines()[1].split()[1]
+    verts, faces = text.splitlines()[1].split()[:2]
     print(f"wrote {out}: {verts} vertices, {faces} faces")
     return EXIT_OK
 

@@ -8,9 +8,10 @@ Faces are keyed by column subsets: a generating face by its closed column
 set, a vertex A 1_S by its sign vector S. Every rank decision on a column
 subset is made on the generators scaled to unit length, so it sees
 directions only. Each closed (rank-1)-dimensional generating face gives
-exactly one opposite pair of facets. Vertices are enumerated from the
-bounding facets, recursively down to zonogons and segments, which have
-closed forms; no candidate point or linear program is involved.
+exactly one opposite pair of facets. Vertices are enumerated over the same
+closed faces: a vertex of a rank-s face is a vertex of one of its closed
+(s-1)-faces plus one side of the rest, down to the two ends of a parallel
+class; no sub-zonotope, candidate point or linear program is involved.
 """
 
 from __future__ import annotations
@@ -321,48 +322,44 @@ class Zonotope:
 
     # -- vertices ---------------------------------------------------------
 
-    def _labelled_sign_vectors(self, labels, memo):
-        """Vertex sign vectors with column j written as ``labels[j]``.
+    def _flat_sign_vectors(self, flat, s, memo):
+        """Vertex sign vectors of the face on the closed column set ``flat`` of rank s.
 
-        Rank 1 and 2 have closed forms; above that every vertex is a bounding
-        facet's translation set plus a vertex of the facet's sub-zonotope.
-        ``memo`` maps a label tuple to its sub-zonotope's result, so a face
-        reached through several facets (both sides of one facet, or a ridge
-        shared by two) is enumerated once.
+        A parallel class has its two ends. Above that, the facets of the face
+        are the parent's closed (s-1)-faces G properly inside ``flat``, and
+        every vertex is a vertex of some G plus one side of ``flat`` minus G:
+        the columns whose residual off G's span points the way of the first
+        column's residual, or the others. ``memo`` maps (columns, rank) to
+        the result, so a face shared by several flats is enumerated once; a
+        column set can be closed at two ranks near the rank cut.
         """
-        if self.rank == 1:
-            proj = self.matrix.T @ self.matrix[:, 0]
-            return {_labelled(proj > 0.0, labels), _labelled(proj < 0.0, labels)}
-        if self.rank == 2:
-            return self._zonogon_sign_vectors(labels)
-        signs = set()
-        for bf in self._bounding_facets:
-            face = tuple(labels[j] for j in bf.generating.columns)
-            if face not in memo:
-                sub = Zonotope(self.matrix[:, bf.generating.columns], self.tol)
-                memo[face] = sub._labelled_sign_vectors(face, memo)
-            side = frozenset(labels[j] for j in bf.translation_set)
-            signs.update(s | side for s in memo[face])
+        if (flat, s) in memo:
+            return memo[flat, s]
+        d = self.directions
+        if s == 1:
+            half = [frozenset(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())]
+        else:
+            inside = set(flat)
+            half = []
+            for face, base in zip(self.generating_faces(s - 1), self._face_cache[s - 1][1]):
+                below = face.columns
+                if len(below) == len(flat) or not inside.issuperset(below):
+                    continue
+                rest = [j for j in flat if j not in below]
+                q, _ = np.linalg.qr(d[:, base])
+                off = d[:, rest] - q @ (q.T @ d[:, rest])
+                side = frozenset(np.array(rest)[off.T @ off[:, 0] > 0.0].tolist())
+                half.extend(b | side for b in self._flat_sign_vectors(below, s - 1, memo))
+        # every face is centrally symmetric: the complement of a vertex is the opposite vertex
+        memo[flat, s] = signs = {v for h in half for v in (h, frozenset(flat) - h)}
         return signs
-
-    def _zonogon_sign_vectors(self, labels):
-        """Rank 2: the two ends of each edge normal to +-(column j rotated 90 deg)."""
-        basis = self._column_space_basis
-        c = self.matrix if basis is None else basis.T @ self.matrix
-        cross = np.outer(c[0], c[1]) - np.outer(c[1], c[0])  # [j, m] = det(c_j, c_m)
-        dot = c.T @ c
-        norms = np.sqrt(np.diag(dot))
-        parallel = np.abs(cross) <= self.tol.threshold(1.0) * np.outer(norms, norms)
-        sides = [~parallel & (cross > 0.0), ~parallel & (cross < 0.0)]
-        ends = [parallel & (dot > 0.0), parallel & (dot < 0.0)]
-        return {_labelled(row, labels) for side in sides for end in ends for row in side | end}
 
     @cached_property
     def _vertices(self):
         """Sorted (point, sign vector) pairs."""
         if self.k > VERTEX_ENUM_LIMIT:
             raise CapacityError(f"vertex enumeration capped at k = {VERTEX_ENUM_LIMIT}")
-        signs = list(self._labelled_sign_vectors(tuple(range(self.k)), {}))
+        signs = list(self._flat_sign_vectors(tuple(range(self.k)), self.rank, {}))
         indicator = np.zeros((len(signs), self.k))
         for i, s in enumerate(signs):
             indicator[i, list(s)] = 1.0
@@ -374,8 +371,8 @@ class Zonotope:
         """Extreme points, sorted lexicographically.
 
         Each vertex is A 1_S for exactly one column subset S (its sign
-        vector); the subsets come from the facet structure, so no candidate
-        outside the vertex set is ever formed.
+        vector); the subsets come from the closed generating faces, so no
+        candidate outside the vertex set is ever formed.
         """
         return [p.copy() for p, _ in self._vertices]
 
@@ -398,10 +395,6 @@ def _facet_normals(coords, bases):
         normals[:, i] = (-1.0) ** i * np.linalg.det(stack[:, keep, :])
         keep[i] = True
     return normals
-
-
-def _labelled(mask, labels):
-    return frozenset(labels[j] for j in np.flatnonzero(mask))
 
 
 def _subset_volume(matrix, m):

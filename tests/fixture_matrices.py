@@ -7,7 +7,9 @@ generator triple; ``perturbed_hex_generators`` lifts the dependency.
 row Grams, exercising the comparison-condition calculus.
 ``scale_dependent_closure`` and ``spread_scale_mesh`` are full-rank matrices
 whose faces come out wrong when rank cuts depend on each submatrix's largest
-entry rather than on the column directions.
+entry rather than on the column directions. ``near_cut_default_tol`` and
+``near_cut_wide_tol`` are rank-3 matrices near the rank cut on which vertex
+enumeration by facet sub-zonotopes never ended.
 """
 
 import numpy as np
@@ -60,6 +62,45 @@ def spread_scale_mesh():
             [0.0, 0.05, 0.1, 4.0, -9e-05, 5000.0],
             [20.0, 0.19, 0.0, -13.0, -0.0001, 15000.0],
             [-50.0, -0.21, -0.06, 0.0, 0.00012, -10000.0],
+        ]
+    )
+
+
+def near_cut_default_tol():
+    """3x9 near the cut at the default tolerance.
+
+    Columns 0 and 2 are within about 1e-9 of parallel, and column 4 nearly
+    lies in the plane of columns 6..8. Some closed 2-face's sub-zonotope had
+    rank 3 again, so the sub-zonotope recursion raised RecursionError.
+    """
+    return np.array(
+        [
+            [-1000.0000000025293, 1, -0.99999999540290385, -2, -1.8168476465311737e-07, -1, 0, 0, 0],
+            [-2000.0000000007474, 0, -2.000000050923433, -2, -0.9999999997308141, -2, 1, -1, 0],
+            [-3.4203877287499468e-10, 0, -2.870841084047902e-09, -1, 1.4207584312852298e-07, 0, 2, -1, 2],
+        ]
+    )
+
+
+def near_cut_wide_tol():
+    """3x9 near the cut at ``Tolerance(rel=1e-3)``; the same failure as above."""
+    return np.array(
+        [
+            [
+                -2.0800674111281108, 1.5557268391034098, 1.8178971251157603,
+                1.818054355108111, 1.8182115851004619, -1.0400337055640554,
+                1.3018895315917043, -1.0397192455793538, 1.5554123791187082,
+            ],
+            [
+                1.7366524253662574, 0.017274914284152176, -0.85968875554105262,
+                -0.93168548169194154, -1.0036822078428305, 0.86832621268312871,
+                -1.6012964302065558, 0.72433276038135086, 0.16126836658593005,
+            ],
+            [
+                -2.7757414817578825, 4.2345681378342785, 3.5051548097960805,
+                3.3976426215935467, 3.2901304333910124, -1.3878707408789412,
+                0.8734817892458111, -1.6028951172840091, 4.4495925142393462,
+            ],
         ]
     )
 

@@ -571,3 +571,61 @@ def shelling_cup_of_cubes(z_prefix, new_gen, new_index):
     ]
     tiles.sort(key=lambda t: t.columns)
     return CupOfCubes(new_index, tiles)
+
+
+# -- sub-zonotope vertex recursion, kept as the reference for the flat one ----
+#
+# The package's vertex enumeration before it recursed over the parent's own
+# closed faces: one sub-Zonotope per bounding facet, down to a zonogon closed
+# form at rank 2 and the two ends of a segment at rank 1. Near the rank cut a
+# facet's sub-zonotope can have the parent's rank, and then this recursion
+# never ends (RecursionError).
+
+
+def _labelled(mask, labels):
+    return frozenset(labels[j] for j in np.flatnonzero(mask))
+
+
+def _zonogon_sign_vectors(z, labels):
+    """Rank 2: the two ends of each edge normal to +-(column j rotated 90 deg)."""
+    basis = z._column_space_basis
+    c = z.matrix if basis is None else basis.T @ z.matrix
+    cross = np.outer(c[0], c[1]) - np.outer(c[1], c[0])  # [j, m] = det(c_j, c_m)
+    dot = c.T @ c
+    norms = np.sqrt(np.diag(dot))
+    parallel = np.abs(cross) <= z.tol.threshold(1.0) * np.outer(norms, norms)
+    sides = [~parallel & (cross > 0.0), ~parallel & (cross < 0.0)]
+    ends = [parallel & (dot > 0.0), parallel & (dot < 0.0)]
+    return {_labelled(row, labels) for side in sides for end in ends for row in side | end}
+
+
+def _labelled_sign_vectors(z, labels, memo):
+    """Vertex sign vectors with column j written as ``labels[j]``.
+
+    Rank 1 and 2 have closed forms; above that every vertex is a bounding
+    facet's translation set plus a vertex of the facet's sub-zonotope.
+    ``memo`` maps a label tuple to its sub-zonotope's result, so a face
+    reached through several facets (both sides of one facet, or a ridge
+    shared by two) is enumerated once.
+    """
+    from zonokit.zonotope import Zonotope
+
+    if z.rank == 1:
+        proj = z.matrix.T @ z.matrix[:, 0]
+        return {_labelled(proj > 0.0, labels), _labelled(proj < 0.0, labels)}
+    if z.rank == 2:
+        return _zonogon_sign_vectors(z, labels)
+    signs = set()
+    for bf in z._bounding_facets:
+        face = tuple(labels[j] for j in bf.generating.columns)
+        if face not in memo:
+            sub = Zonotope(z.matrix[:, bf.generating.columns], z.tol)
+            memo[face] = _labelled_sign_vectors(sub, face, memo)
+        side = frozenset(labels[j] for j in bf.translation_set)
+        signs.update(s | side for s in memo[face])
+    return signs
+
+
+def recursive_vertex_sign_vectors(z):
+    """Vertex sign vectors of ``z`` by the sub-zonotope recursion, as a set."""
+    return _labelled_sign_vectors(z, tuple(range(z.k)), {})

@@ -10,7 +10,13 @@ from zonokit.tiling import Tiling
 from zonokit.zonotope import Zonotope
 
 import oracles
-from fixture_matrices import hex_facet_generators, scale_dependent_closure, spread_scale_mesh
+from fixture_matrices import (
+    hex_facet_generators,
+    near_cut_default_tol,
+    near_cut_wide_tol,
+    scale_dependent_closure,
+    spread_scale_mesh,
+)
 
 A0 = hex_facet_generators()
 
@@ -161,12 +167,13 @@ class TestCongruentCommand:
         write_text_matrix(pb, 2 * a3)
         assert cli.main(["congruent", str(pa), str(pb)]) == 1
 
-    def test_capacity(self, tmp_path):
+    def test_capacity(self, tmp_path, capsys):
         rng = np.random.default_rng(91)
         a = rng.normal(size=(2, 11))
         pa = tmp_path / "a.txt"
         write_text_matrix(pa, a)
         assert cli.main(["congruent", str(pa), str(pa)]) == 2
+        assert capsys.readouterr().err.startswith("capacity: ")
 
 
 class TestTileCommand:
@@ -328,11 +335,24 @@ class TestMeshCommand:
         write_text_matrix(p, np.eye(2))
         assert cli.main(["mesh", str(p)]) == 5
 
-    def test_too_many_generators_exit2(self, tmp_path):
+    def test_too_many_generators_exit2(self, tmp_path, capsys):
         rng = np.random.default_rng(93)
         p = tmp_path / "m.txt"
         write_text_matrix(p, rng.normal(size=(3, 17)))
         assert cli.main(["mesh", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("capacity: ")
+
+    @pytest.mark.parametrize(
+        "matrix, flags",
+        [(near_cut_default_tol(), []), (near_cut_wide_tol(), ["--tol-rel", "1e-3"])],
+        ids=["default", "rel=1e-3"],
+    )
+    def test_near_cut_exits_without_traceback(self, matrix, flags, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, matrix)
+        code = cli.main(["mesh", str(p), "--out", str(tmp_path / "m.off")] + flags)
+        assert code in (cli.EXIT_OK, cli.EXIT_CAPACITY, cli.EXIT_MESH_RANK, cli.EXIT_PARSE)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_determinism(self, a0_file, tmp_path):
         out1, out2 = tmp_path / "m1.off", tmp_path / "m2.off"

@@ -10,10 +10,18 @@ from hypothesis import strategies as st
 
 import zonokit
 from zonokit.errors import CapacityError, DegeneracyError, DimensionError
+from zonokit.numkit import Tolerance
 from zonokit.zonotope import RankDeficiencyWarning, Zonotope, signatures_match
 
 import oracles
-from fixture_matrices import hex_facet_generators, perturbed_hex_generators, scale_dependent_closure, spread_scale_mesh
+from fixture_matrices import (
+    hex_facet_generators,
+    near_cut_default_tol,
+    near_cut_wide_tol,
+    perturbed_hex_generators,
+    scale_dependent_closure,
+    spread_scale_mesh,
+)
 
 A0 = hex_facet_generators()
 
@@ -486,6 +494,39 @@ class TestVertices:
         }
         assert set(z2.vertex_sign_vectors()) == want
 
+    def test_no_sub_zonotopes(self, monkeypatch):
+        z = Zonotope(np.random.default_rng(33).normal(size=(5, 10)))
+        built = []
+        init = Zonotope.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Zonotope, "__init__", counting)
+        assert len(z.vertices()) > 0
+        assert built == []
+
+    def test_capacity_before_faces(self, monkeypatch):
+        calls = []
+        faces = Zonotope.generating_faces
+        monkeypatch.setattr(Zonotope, "generating_faces", lambda self, s: calls.append(s) or faces(self, s))
+        with pytest.raises(CapacityError):
+            Zonotope(np.random.default_rng(34).normal(size=(3, 17))).vertices()
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "matrix, tol",
+        [(near_cut_default_tol(), Tolerance()), (near_cut_wide_tol(), Tolerance(rel=1e-3))],
+        ids=["default", "rel=1e-3"],
+    )
+    def test_near_cut_sign_vectors_closed_under_complement(self, matrix, tol):
+        # some closed 2-faces have rank 3 as column sets; the recursion over flats still ends
+        z = Zonotope(matrix, tol)
+        signs = set(z.vertex_sign_vectors())
+        assert len(signs) == len(z.vertices()) > 0
+        assert {frozenset(range(z.k)) - s for s in signs} == signs
+
     def test_no_lp_solver_import(self):
         script = (
             "import sys, numpy as np, zonokit\n"
@@ -499,6 +540,53 @@ class TestVertices:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+
+def differential_matrix(rng, trial, n, k):
+    family = trial % 4
+    if family == 0:
+        return rng.normal(size=(n, k))
+    if family == 1:  # integer entries, the last column antiparallel to the first
+        a = rng.integers(-2, 3, size=(n, k)).astype(float)
+        a[0, ~a.any(axis=0)] = 1.0
+        a[:, -1] = -a[:, 0]
+        return a
+    if family == 2:  # column scales 10^U(-4, 4)
+        return rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, size=k)
+    r = int(rng.integers(1, n))  # rank r < n
+    c = rng.integers(-2, 3, size=(r, k)).astype(float)
+    c[0, ~c.any(axis=0)] = 1.0
+    return rng.normal(size=(n, r)) @ c
+
+
+class TestAgainstSubZonotopeRecursion:
+    """Vertices over the parent's flats equal the sub-zonotope recursion bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    def test_seeded_differential(self):
+        rng = np.random.default_rng(808)
+        recursed = 0
+        for trial in range(160):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(n, 11))
+            tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
+            a = differential_matrix(rng, trial, n, k)
+            z = Zonotope(a, tol)
+            try:
+                want = list(oracles.recursive_vertex_sign_vectors(Zonotope(a, tol)))
+            except RecursionError:  # the reference never ends near the rank cut
+                signs = set(z.vertex_sign_vectors())
+                assert {frozenset(range(z.k)) - s for s in signs} == signs
+                recursed += 1
+                continue
+            indicator = np.zeros((len(want), z.k))
+            for i, s in enumerate(want):
+                indicator[i, list(s)] = 1.0
+            points = indicator @ z.matrix.T
+            order = sorted(range(len(want)), key=lambda i: tuple(points[i]))
+            assert z.vertex_sign_vectors() == [want[i] for i in order]
+            assert np.array(z.vertices()).tobytes() == points[order].tobytes()
+        assert recursed <= 2
 
 
 class TestFacetSignature:
