@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 negative result, 2 capacity, 3 rank, 4 no-root,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -151,9 +152,9 @@ def matrix_to_dict(m):
 
 
 def _write_json(payload, path):
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _fmt(x):
@@ -300,13 +301,19 @@ def off_mesh(z):
     lines = ["OFF", f"{len(verts)} {len(facets)} 0"]
     for v in verts:
         lines.append(" ".join(_fmt(x) for x in v))
+    indicator = np.zeros((len(signs), z.k), dtype=bool)
+    for i, s in enumerate(signs):
+        indicator[i, list(s)] = True
     for f in facets:
         # vertex S lies on the facet iff S minus the facet's columns is a side's sign set
-        sides = [
-            (frozenset(bf.generating.columns), frozenset(bf.translation_set))
-            for bf in f.constituents
-        ]
-        members = [i for i, s in enumerate(signs) if any(s - cols == side for cols, side in sides)]
+        on = np.zeros(len(signs), dtype=bool)
+        for bf in f.constituents:
+            free = np.zeros(z.k, dtype=bool)
+            free[list(bf.generating.columns)] = True
+            side = np.zeros(z.k, dtype=bool)
+            side[list(bf.translation_set)] = True
+            on |= np.all((indicator == side) | free, axis=1)
+        members = np.flatnonzero(on).tolist()
         u = f.unit_normal
         seed_axis = np.argmin(np.abs(u))
         b1 = np.zeros(3)
@@ -360,11 +367,16 @@ def _print_symmetry(report, label):
 
 
 def build_parser():
+    """The argument parser, with the ``--tol-abs`` default read from ``ZONOKIT_TOL_ABS``."""
+    return _make_parser(os.environ.get("ZONOKIT_TOL_ABS", "1e-9"))
+
+
+def _make_parser(tol_abs_default):
     parser = argparse.ArgumentParser(prog="zonokit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     # a string default goes through type=float, so a malformed variable is a usage error
-    common.add_argument("--tol-abs", type=float, default=os.environ.get("ZONOKIT_TOL_ABS", "1e-9"))
+    common.add_argument("--tol-abs", type=float, default=tol_abs_default)
     common.add_argument("--tol-rel", type=float, default=1e-9)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
@@ -393,6 +405,11 @@ def build_parser():
     return parser
 
 
+# Building the parser costs more than a small command. parse_args leaves it
+# unchanged, so one parser per ZONOKIT_TOL_ABS value serves every call.
+_cached_parser = functools.lru_cache(maxsize=8)(_make_parser)
+
+
 COMMANDS = {
     "volume": cmd_volume,
     "congruent": cmd_congruent,
@@ -404,7 +421,7 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _cached_parser(os.environ.get("ZONOKIT_TOL_ABS", "1e-9"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

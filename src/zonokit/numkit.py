@@ -255,20 +255,37 @@ def subset_determinants(m, size):
 
     Yields (subset_tuple, det_value) pairs; subsets index columns 0-based.
     Square subsets give their determinant; smaller ones the square root of
-    their Gram determinant. Each run of up to ``SUBSET_BATCH`` subsets is one
-    stacked ``np.linalg.det``.
+    their Gram determinant (see :func:`subset_measures`).
     """
     a = as_matrix(m)
     if size > a.shape[0]:
         raise DimensionError("subset size exceeds row count")
     combos = itertools.combinations(range(a.shape[1]), size)
     while batch := list(itertools.islice(combos, SUBSET_BATCH)):
-        stack = column_subsets(a, np.reshape(batch, (len(batch), size)))
-        if size == a.shape[0]:
-            values = np.linalg.det(stack)
+        yield from zip(batch, subset_measures(a, np.reshape(batch, (len(batch), size))).tolist())
+
+
+def subset_measures(m, subsets):
+    """Determinant of ``m[:, s]`` for each row s of ``subsets``, as an array.
+
+    Square subsets give their determinant; smaller ones the square root of
+    their Gram determinant. Each run of up to ``SUBSET_BATCH`` rows is one
+    stacked ``np.linalg.det``, which factors every slice on its own, so a
+    value does not depend on the rows beside it.
+    """
+    a = as_matrix(m)
+    idx = np.asarray(subsets, dtype=int)
+    if idx.ndim != 2 or idx.shape[1] > a.shape[0]:
+        raise DimensionError(f"expected (B, size) subsets with size <= {a.shape[0]}, got shape {idx.shape}")
+    values = np.empty(len(idx))
+    for start in range(0, len(idx), SUBSET_BATCH):
+        stack = column_subsets(a, idx[start:start + SUBSET_BATCH])
+        if idx.shape[1] == a.shape[0]:
+            values[start:start + SUBSET_BATCH] = np.linalg.det(stack)
         else:
-            values = np.sqrt(np.maximum(np.linalg.det(np.swapaxes(stack, 1, 2) @ stack), 0.0))
-        yield from zip(batch, values.tolist())
+            gram_dets = np.linalg.det(np.swapaxes(stack, 1, 2) @ stack)
+            values[start:start + SUBSET_BATCH] = np.sqrt(np.maximum(gram_dets, 0.0))
+    return values
 
 
 def independent_columns(m, tol=DEFAULT_TOL):
@@ -303,10 +320,20 @@ def orthonormal_complement(q):
 
 
 def sign_normalize(v, tol=DEFAULT_TOL):
-    """Flip v so its first coordinate of significant magnitude is positive."""
-    v = as_vector(v)
-    cut = tol.threshold(np.abs(v).max() if v.size else 0.0)
-    for x in v:
-        if abs(x) > cut:
-            return -v if x < 0 else v.copy()
-    return v.copy()
+    """Flip v so its first coordinate of significant magnitude is positive.
+
+    A 2-D ``v`` is a stack of rows, each normalized on its own with the cut
+    taken from its own largest entry.
+    """
+    a = np.array(v, dtype=float)
+    if a.ndim not in (1, 2):
+        raise DimensionError(f"expected a vector or a stack of rows, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError("vector entries must be finite")
+    if not a.size:
+        return a
+    rows = a.reshape(-1, a.shape[-1])
+    big = np.abs(rows) > tol.threshold(np.abs(rows).max(axis=1))[:, None]
+    lead = rows[np.arange(len(rows)), big.argmax(axis=1)]
+    flip = big.any(axis=1) & (lead < 0.0)
+    return np.where(flip[:, None], -rows, rows).reshape(a.shape)

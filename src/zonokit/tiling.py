@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DegeneracyError, DimensionError
 from .numkit import as_matrix, as_vector, column_subsets, rank_batch, unit_columns
 
+# Bytes of floats per stacked step of the tiling checks: bounds the temporaries
+# of large tilings without splitting desk-scale ones much.
+CHUNK_BYTES = 1 << 19
+
 
 @dataclass(eq=False)
 class Tile:
@@ -202,6 +206,12 @@ def _tile_generators(matrix, tiles):
     return column_subsets(matrix, np.reshape([t.columns for t in tiles], (len(tiles), matrix.shape[0])))
 
 
+def _chunks(count, row_floats):
+    """Index runs covering ``range(count)``, each of about CHUNK_BYTES of row floats."""
+    step = max(1, CHUNK_BYTES // (8 * max(row_floats, 1)))
+    return [np.arange(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def validate_tiling(z, tiling, tol=None):
     """Check volume sum, subset census, interior disjointness, and containment."""
     tol = tol or z.tol
@@ -228,33 +238,39 @@ def validate_tiling(z, tiling, tol=None):
     # Tile j's centre strictly inside tile i (in tile i's cube coordinates)
     # breaks interior disjointness. Here and in the containment test, matmul
     # against an (.., n, 1) stack runs one matrix-vector product per vector,
-    # as a loop would, so every decision is bit-identical to the loop's.
+    # as a loop would, so every decision is bit-identical to the loop's. Both
+    # tests run over chunks of tiles to bound their temporaries.
     eps = tol.threshold(1.0)
+    tiles = len(tiling.tiles)
     gens = _tile_generators(matrix, tiling.tiles)
     origins = np.reshape([t.translation for t in tiling.tiles], (-1, n))
     centers = origins + gens.sum(axis=2) / 2.0
     inverses = np.linalg.inv(gens)
     disjoint_violations = []
-    for i, inv in enumerate(inverses):
-        coords = np.matmul(inv, (centers - origins[i])[:, :, None])[:, :, 0]
-        inside = np.all((coords > eps) & (coords < 1.0 - eps), axis=1)
-        inside[i] = False
-        disjoint_violations.extend((i, j) for j in np.flatnonzero(inside).tolist())
+    for rows in _chunks(tiles, tiles * n):
+        offsets = centers[None, :, :] - origins[rows, None, :]
+        coords = np.matmul(inverses[rows, None], offsets[:, :, :, None])[:, :, :, 0]
+        inside = np.all((coords > eps) & (coords < 1.0 - eps), axis=2)
+        inside[np.arange(len(rows)), rows] = False
+        i, j = np.nonzero(inside)
+        disjoint_violations.extend(zip(rows[i].tolist(), j.tolist()))
     disjoint_ok = not disjoint_violations
 
     facets = z.bounding_facets()
     normals = np.reshape([bf.unit_normal for bf in facets], (-1, n, 1))
-    max_h = max((abs(bf.support) for bf in facets), default=0.0)
+    supports = np.array([bf.support for bf in facets])
+    max_h = float(np.abs(supports).max(initial=0.0))
     slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
-    bounds = np.array([bf.support for bf in facets])[:, None] + slack
+    bounds = supports[:, None] + slack
     corners = np.array(
         [[float(b) for b in np.binary_repr(i, n)] for i in range(2 ** n)]
     )
-    containment_violations = [
-        idx
-        for idx, (gen, origin) in enumerate(zip(gens, origins))
-        if np.any(np.matmul(origin + corners @ gen.T, normals)[:, :, 0] > bounds)
-    ]
+    points = origins[:, None, :] + np.matmul(corners, np.swapaxes(gens, 1, 2))
+    containment_violations = []
+    for rows in _chunks(tiles, len(facets) * 2 ** n):
+        heights = np.matmul(points[rows, None], normals)[:, :, :, 0]
+        outside = np.any(heights > bounds, axis=(1, 2))
+        containment_violations.extend(rows[outside].tolist())
     containment_ok = not containment_violations
 
     return TilingReport(

@@ -222,10 +222,7 @@ class Zonotope:
                 stacklevel=2,
             )
             return self.m_volume(self.rank)
-        total = 0.0
-        for _, d in numkit.subset_determinants(self.matrix, self.n):
-            total += abs(d)
-        return total
+        return _subset_volume(self.matrix, self.n)
 
     def m_volume(self, m):
         """Intrinsic m-volume: sum over m-subsets of sqrt(det Gram)."""
@@ -237,7 +234,7 @@ class Zonotope:
         """(rank-1)-volume of the sub-zonotope on a generating facet."""
         if face.dim != self.rank - 1:
             raise DimensionError(f"facet_volume needs a face of dim {self.rank - 1}")
-        return _subset_volume(self.matrix[:, face.columns], face.dim)
+        return float(_face_volumes(self.matrix, [face.columns], face.dim)[0])
 
     # -- facets ----------------------------------------------------------
 
@@ -258,34 +255,41 @@ class Zonotope:
         coords = self.matrix if basis is None else basis.T @ self.matrix
         faces = self.generating_faces(self.rank - 1)
         bases = self._face_cache[self.rank - 1][1]
+        # One row per face. A matmul on (.., m, 1) or (.., 1, m) stacks makes
+        # one BLAS matrix-vector or dot call per row, as a loop over the faces
+        # would, so every value is bit-identical to the one-face computation.
+        normals = _facet_normals(coords, bases)
+        if basis is not None:
+            normals = np.matmul(basis, normals[:, :, None])[:, :, 0]
+        lengths = np.sqrt(np.matmul(normals[:, None, :], normals[:, :, None])[:, 0, 0])
+        references = numkit.sign_normalize(normals / lengths[:, None], self.tol)
+        proj = np.matmul(self.matrix.T, references[:, :, None])[:, :, 0]
+        k = self.k
+        outside = np.ones((len(faces), k), dtype=bool)
+        for i, face in enumerate(faces):
+            outside[i, face.columns] = False
+        negative = (outside & (proj < 0.0)).tolist()
+        positive = (outside & (proj >= 0.0)).tolist()
+        # minus then plus side of each face
+        units = np.stack([-references, references], axis=1).reshape(-1, self.n)
+        tsets = [tuple(itertools.compress(range(k), row)) for pair in zip(negative, positive) for row in pair]
+        translations = _column_sums(self.matrix, tsets)
+        supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0].tolist()
+        volumes = _face_volumes(self.matrix, [face.columns for face in faces], self.rank - 1).tolist()
         facets = []
-        for face, normal in zip(faces, _facet_normals(coords, bases)):
-            if basis is not None:
-                normal = basis @ normal
-            normal = normal / np.linalg.norm(normal)
-            reference = numkit.sign_normalize(normal, self.tol)
-            proj = self.matrix.T @ reference
-            rest = [j for j in range(self.k) if j not in face.columns]
-            negative = tuple(j for j in rest if proj[j] < 0.0)
-            positive = tuple(j for j in rest if proj[j] >= 0.0)
-            vol = self.facet_volume(face)
-            for side, unit, tset in (
-                ("minus", -reference, negative),
-                ("plus", reference, positive),
-            ):
-                translation = (
-                    self.matrix[:, tset].sum(axis=1) if tset else np.zeros(self.n)
-                )
+        for i, face in enumerate(faces):
+            neg, pos = tsets[2 * i], tsets[2 * i + 1]
+            for j, side in ((2 * i, "minus"), (2 * i + 1, "plus")):
                 facets.append(
                     BoundingFacet(
                         generating=face,
-                        unit_normal=unit,
-                        negative_set=negative,
-                        positive_set=positive,
+                        unit_normal=units[j],
+                        negative_set=neg,
+                        positive_set=pos,
                         side=side,
-                        translation=translation,
-                        volume=vol,
-                        support=float(unit @ translation),
+                        translation=translations[j],
+                        volume=volumes[i],
+                        support=supports[j],
                     )
                 )
         return facets
@@ -402,6 +406,42 @@ def _subset_volume(matrix, m):
     for _, d in numkit.subset_determinants(matrix, m):
         total += abs(d)
     return total
+
+
+def _column_sums(matrix, subsets):
+    """(len(subsets), n) array whose row i is ``matrix[:, subsets[i]].sum(axis=1)``.
+
+    Subsets of equal length are summed together along the last axis, which
+    numpy adds in the same order as it adds each subset alone, so every row
+    is bit-identical to the one-subset sum; empty subsets give zero.
+    """
+    sums = np.zeros((len(subsets), matrix.shape[0]))
+    lengths = np.array([len(c) for c in subsets])
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        sums[rows] = matrix[:, [subsets[i] for i in rows]].sum(axis=2).T
+    return sums
+
+
+def _face_volumes(matrix, faces, d):
+    """d-volume of the sub-zonotope on each column tuple in ``faces``, as an array.
+
+    A face's volume is the sum of sqrt(det Gram) over the d-subsets of its
+    columns, added one at a time in lexicographic subset order, as
+    :func:`_subset_volume` adds them; faces with equally many columns share
+    one stacked :func:`numkit.subset_measures` call.
+    """
+    volumes = np.empty(len(faces))
+    sizes = np.array([len(f) for f in faces])
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        local = np.array(list(itertools.combinations(range(size), d)), dtype=int, ndmin=2)
+        subsets = np.array([faces[i] for i in rows])[:, local]
+        values = numkit.subset_measures(matrix, subsets.reshape(len(rows) * len(local), d))
+        # cumsum adds left to right, as the running sum in _subset_volume does;
+        # sum may add pairwise from 8 terms
+        volumes[rows] = np.abs(values).reshape(len(rows), len(local)).cumsum(axis=1)[:, -1]
+    return volumes
 
 
 def signatures_match(sig1, sig2, tol=DEFAULT_TOL):

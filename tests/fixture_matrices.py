@@ -9,7 +9,8 @@ row Grams, exercising the comparison-condition calculus.
 whose faces come out wrong when rank cuts depend on each submatrix's largest
 entry rather than on the column directions. ``near_cut_default_tol`` and
 ``near_cut_wide_tol`` are rank-3 matrices near the rank cut on which vertex
-enumeration by facet sub-zonotopes never ended.
+enumeration by facet sub-zonotopes never ended. ``long_sums`` has facet
+translations and facet volumes that add 8 or more terms.
 """
 
 import numpy as np
@@ -103,6 +104,26 @@ def near_cut_wide_tol():
             ],
         ]
     )
+
+
+def long_sums():
+    """3x12 with sums of 8 or more terms in its facets and tiles.
+
+    Columns 0..4 lie in the xy-plane, so they form one closed 2-face whose
+    area adds C(5, 2) = 10 subset areas, with the other 7 columns above it;
+    8 facets translate by 8 to 10 columns. From 8 terms a pairwise sum (as
+    numpy adds a 1-D array) and a left-to-right one can differ in the last
+    bit; with the integer directions scaled by 1 + j/7, some of these sums do.
+    """
+    directions = np.array(
+        [
+            [1, 0, 1, 1, 2, 0, 1, 0, 1, -1, 2, 1],
+            [0, 1, 1, -1, 1, 0, 0, 1, 1, 1, -1, 2],
+            [0, 0, 0, 0, 0, 1, 1, 1, 2, 1, 1, 1],
+        ],
+        dtype=float,
+    )
+    return directions * (1.0 + np.arange(12) / 7.0)
 
 
 def gram_equal_pairs():

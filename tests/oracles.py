@@ -326,6 +326,15 @@ def loop_generating_faces(z, s):
     return [seen[c] for c in sorted(seen)]
 
 
+def loop_sign_normalize(v, tol):
+    """Flip v so its first coordinate above the cut is positive, one entry at a time."""
+    cut = tol.threshold(np.abs(v).max() if v.size else 0.0)
+    for x in v:
+        if abs(x) > cut:
+            return -v if x < 0 else v.copy()
+    return v.copy()
+
+
 def loop_bounding_facets(z):
     """Both sides of every generating facet, one cross product per face.
 
@@ -348,7 +357,7 @@ def loop_bounding_facets(z):
         if basis is not None:
             normal = basis @ normal
         normal = normal / np.linalg.norm(normal)
-        reference = numkit.sign_normalize(normal, z.tol)
+        reference = loop_sign_normalize(normal, z.tol)
         proj = z.matrix.T @ reference
         rest = [j for j in range(z.k) if j not in face.columns]
         negative = tuple(j for j in rest if proj[j] < 0.0)

@@ -426,6 +426,19 @@ class TestExitCodesAndConfig:
         args = parser.parse_args(["volume", a0_file])
         assert args.tol_abs == 0.5
 
+    def test_env_tol_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        # the second column's unit direction has a second pivot of about 0.29
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, [[1.0, 1.0], [0.0, 0.3]])
+        monkeypatch.setenv("ZONOKIT_TOL_ABS", "0.5")
+        assert cli.main(["volume", str(p)]) == 0
+        assert capsys.readouterr().out.startswith("rank 1,")
+        monkeypatch.setenv("ZONOKIT_TOL_ABS", "1e-9")
+        assert cli.main(["volume", str(p)]) == 0
+        assert capsys.readouterr().out.startswith("rank 2,")
+        monkeypatch.setenv("ZONOKIT_TOL_ABS", "half")
+        assert cli.main(["volume", str(p)]) == 10
+
     def test_malformed_env_tol_exit10(self, a0_file, monkeypatch):
         monkeypatch.setenv("ZONOKIT_TOL_ABS", "half")
         assert cli.main(["volume", a0_file]) == 10

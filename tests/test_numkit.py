@@ -372,3 +372,8 @@ class TestHelpers:
     def test_sign_normalize(self):
         assert np.allclose(sign_normalize(np.array([-1.0, 2.0])), [1.0, -2.0])
         assert np.allclose(sign_normalize(np.array([0.0, -3.0])), [0.0, 3.0])
+        # a stack of rows: each row as alone, with its own cut
+        rows = np.array([[-1.0, 2.0], [0.0, -3.0], [1e-12, -1.0], [-1e-12, 1e-13], [0.0, 0.0]])
+        stacked = sign_normalize(rows)
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == oracles.loop_sign_normalize(row, Tolerance()).tobytes()

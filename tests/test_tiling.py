@@ -14,7 +14,7 @@ from zonokit.tiling import (
 from zonokit.zonotope import Zonotope
 
 import oracles
-from fixture_matrices import hex_facet_generators, perturbed_hex_generators
+from fixture_matrices import hex_facet_generators, long_sums, perturbed_hex_generators
 
 A0 = hex_facet_generators()
 HEX2D = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -281,17 +281,24 @@ def differential_matrix(rng, trial, n, k):
     return rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, size=k)
 
 
+def differential_inputs():
+    """(matrix, tolerance) pairs: 60 seeded ones, then one with long sums."""
+    rng = np.random.default_rng(404)
+    for trial in range(60):
+        n = 2 + trial % 4
+        k = int(rng.integers(n, min(9, n + 4) + 1))
+        tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
+        yield differential_matrix(rng, trial, n, k), tol
+    yield long_sums(), Tolerance()
+
+
 class TestAgainstLoopReferences:
     """Stacked faces, facets and tiling checks equal the per-subset loops exactly."""
 
     @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
     def test_seeded_differential(self):
-        rng = np.random.default_rng(404)
-        for trial in range(60):
-            n = 2 + trial % 4
-            k = int(rng.integers(n, min(9, n + 4) + 1))
-            tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
-            z = Zonotope(differential_matrix(rng, trial, n, k), tol)
+        for a, tol in differential_inputs():
+            z = Zonotope(a, tol)
             for s in range(z.rank + 1):
                 assert z.generating_faces(s) == oracles.loop_generating_faces(z, s)
             if z.rank < 2:
