@@ -284,7 +284,11 @@ def cmd_mesh(args, cfg):
     if z.rank != 3 or z.n != 3:
         print(f"mesh export needs rank 3 in R^3, got rank {z.rank} in R^{z.n}", file=sys.stderr)
         return EXIT_MESH_RANK
-    text = off_mesh(z)
+    try:
+        text = off_mesh(z)
+    except MeshSurfaceError as exc:
+        print(f"mesh: {exc}; the faces are near the rank cut, try another --tol-rel", file=sys.stderr)
+        return EXIT_MESH_RANK
     out = cfg.out or "mesh.off"
     with open(out, "w") as fh:
         fh.write(text)
@@ -293,42 +297,81 @@ def cmd_mesh(args, cfg):
     return EXIT_OK
 
 
+class MeshSurfaceError(ZonokitError):
+    """The facet polygons do not close into a sphere."""
+
+
 def off_mesh(z):
-    """OFF text for a rank-3 zonotope: vertices then facet polygons (CCW)."""
-    verts = z.vertices()
-    signs = z.vertex_sign_vectors()
+    """OFF text for a rank-3 zonotope: vertices then facet polygons (CCW).
+
+    Each facet's polygon is the vertex cycle of its closed 2-face
+    (``Zonotope._cycles``) joined with the facet's translation set, reversed
+    when the cycle's frame normal e1 x e2 opposes the outward normal. It
+    starts at the vertex with the smallest angle atan2(. b2, . b1) about the
+    centroid of its vertices, b1 being the coordinate axis least aligned
+    with the normal u made orthogonal to u and b2 = u x b1. Raises
+    :class:`MeshSurfaceError` unless every edge lies in exactly two
+    polygons, once in each direction, and V - E + F = 2.
+    """
+    verts = np.array(z.vertices())
+    index = {s: i for i, s in enumerate(z.vertex_sign_vectors())}
     facets = z.geometric_facets()
-    lines = ["OFF", f"{len(verts)} {len(facets)} 0"]
-    for v in verts:
-        lines.append(" ".join(_fmt(x) for x in v))
-    indicator = np.zeros((len(signs), z.k), dtype=bool)
-    for i, s in enumerate(signs):
-        indicator[i, list(s)] = True
+    polygons, frames = [], []
     for f in facets:
-        # vertex S lies on the facet iff S minus the facet's columns is a side's sign set
-        on = np.zeros(len(signs), dtype=bool)
-        for bf in f.constituents:
-            free = np.zeros(z.k, dtype=bool)
-            free[list(bf.generating.columns)] = True
-            side = np.zeros(z.k, dtype=bool)
-            side[list(bf.translation_set)] = True
-            on |= np.all((indicator == side) | free, axis=1)
-        members = np.flatnonzero(on).tolist()
-        u = f.unit_normal
-        seed_axis = np.argmin(np.abs(u))
-        b1 = np.zeros(3)
-        b1[seed_axis] = 1.0
-        b1 = b1 - u * float(u @ b1)
-        b1 = b1 / np.linalg.norm(b1)
-        b2 = np.cross(u, b1)
-        centroid = np.mean([verts[i] for i in members], axis=0)
-        members.sort(
-            key=lambda i: math.atan2(
-                float((verts[i] - centroid) @ b2), float((verts[i] - centroid) @ b1)
-            )
-        )
-        lines.append(" ".join([str(len(members))] + [str(i) for i in members]))
+        (bf,) = f.constituents
+        cycle, frame = z._cycles[bf.generating.columns]
+        side = frozenset(bf.translation_set)
+        polygons.append([index[side | v] for v in cycle])
+        frames.append(frame)
+    frames = np.array(frames)
+    units = np.array([f.unit_normal for f in facets])
+    reverse = np.sum(np.cross(frames[:, 0], frames[:, 1]) * units, axis=1) < 0.0
+    polygons = [p[::-1] if r else p for p, r in zip(polygons, reverse.tolist())]
+    _check_sphere(len(verts), polygons)
+    # b1, b2 and each polygon's centroid over its vertices in ascending index
+    # order, as one (.., 1, 3) @ (.., 3, 1) matmul stack: one dot per row, the
+    # same values as one facet at a time
+    seed_axis = np.argmin(np.abs(units), axis=1)
+    b1 = np.zeros_like(units)
+    b1[np.arange(len(units)), seed_axis] = 1.0
+    b1 = b1 - units * _rowdot(units, b1)[:, None]
+    b1 = b1 / np.sqrt(_rowdot(b1, b1))[:, None]
+    b2 = np.cross(units, b1)
+    sizes = np.array([len(p) for p in polygons])
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        ring = np.array([polygons[i] for i in rows.tolist()])
+        centroids = verts[np.sort(ring, axis=1)].mean(axis=1)
+        offsets = verts[ring] - centroids[:, None, :]
+        ys = np.matmul(offsets[:, :, None, :], b2[rows, None, :, None]).ravel().tolist()
+        xs = np.matmul(offsets[:, :, None, :], b1[rows, None, :, None]).ravel().tolist()
+        keys = np.reshape(list(map(math.atan2, ys, xs)), ring.shape)
+        # the smallest key, ties to the smallest vertex index
+        lowest = keys == keys.min(axis=1, keepdims=True)
+        starts = np.where(lowest, ring, len(verts)).argmin(axis=1)
+        for i, start in zip(rows.tolist(), starts.tolist()):
+            polygons[i] = polygons[i][start:] + polygons[i][:start]
+    lines = ["OFF", f"{len(verts)} {len(facets)} 0"]
+    lines.extend(" ".join(_fmt(x) for x in v) for v in verts)
+    lines.extend(" ".join(map(str, [len(p)] + p)) for p in polygons)
     return "\n".join(lines) + "\n"
+
+
+def _rowdot(a, b):
+    """Row-wise dot products of two (m, n) arrays, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _check_sphere(vertices, polygons):
+    """Raise MeshSurfaceError unless the polygons close into a sphere."""
+    edges = [e for p in polygons for e in zip(p, p[1:] + p[:1])]
+    undirected = {frozenset(e) for e in edges}
+    euler = vertices - len(undirected) + len(polygons)
+    # distinct directed edges, two per undirected edge: each edge once each way
+    paired = len(set(edges)) == len(edges) == 2 * len(undirected)
+    if not paired or euler != 2:
+        unpaired = "" if paired else ", and not every edge lies in two polygons once each way"
+        raise MeshSurfaceError(f"the facet polygons are not a sphere: V - E + F = {euler}{unpaired}")
 
 
 def cmd_symmetry(args, cfg):

@@ -256,9 +256,16 @@ def validate_tiling(z, tiling, tol=None):
         disjoint_violations.extend(zip(rows[i].tolist(), j.tolist()))
     disjoint_ok = not disjoint_violations
 
-    facets = z.bounding_facets()
-    normals = np.reshape([bf.unit_normal for bf in facets], (-1, n, 1))
-    supports = np.array([bf.support for bf in facets])
+    if z.rank == 1:
+        # a segment has no facets: test the bounding box, which for n = 1 is
+        # the interval [sum min(0, a_j), sum max(0, a_j)] itself
+        normals = np.concatenate([-np.eye(n), np.eye(n)])[:, :, None]
+        lo, hi = np.minimum(matrix, 0.0).sum(axis=1), np.maximum(matrix, 0.0).sum(axis=1)
+        supports = np.concatenate([-lo, hi])
+    else:
+        facets = z.bounding_facets()
+        normals = np.reshape([bf.unit_normal for bf in facets], (-1, n, 1))
+        supports = np.array([bf.support for bf in facets])
     max_h = float(np.abs(supports).max(initial=0.0))
     slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
     bounds = supports[:, None] + slack
@@ -267,7 +274,7 @@ def validate_tiling(z, tiling, tol=None):
     )
     points = origins[:, None, :] + np.matmul(corners, np.swapaxes(gens, 1, 2))
     containment_violations = []
-    for rows in _chunks(tiles, len(facets) * 2 ** n):
+    for rows in _chunks(tiles, len(supports) * 2 ** n):
         heights = np.matmul(points[rows, None], normals)[:, :, :, 0]
         outside = np.any(heights > bounds, axis=(1, 2))
         containment_violations.extend(rows[outside].tolist())

@@ -9,9 +9,12 @@ set, a vertex A 1_S by its sign vector S. Every rank decision on a column
 subset is made on the generators scaled to unit length, so it sees
 directions only. Each closed (rank-1)-dimensional generating face gives
 exactly one opposite pair of facets. Vertices are enumerated over the same
-closed faces: a vertex of a rank-s face is a vertex of one of its closed
-(s-1)-faces plus one side of the rest, down to the two ends of a parallel
-class; no sub-zonotope, candidate point or linear program is involved.
+closed faces: every vertex is a vertex of a facet plus that facet's
+translation set. A closed 2-face is a zonogon whose vertex cycle comes from
+one angular sort of its parallel classes, a closed face of higher rank
+takes the vertices of its closed faces one rank down plus one side of the
+rest, and a parallel class has its two ends; no sub-zonotope, candidate
+point or linear program is involved.
 """
 
 from __future__ import annotations
@@ -308,8 +311,12 @@ class Zonotope:
             )
             for bf in self._bounding_facets
         ]
-        out.sort(key=lambda f: (tuple(np.round(f.unit_normal, 9)), round(f.support, 9)))
-        return out
+        # lexsort's last key is the primary one: normal coordinates in order,
+        # then the support; it is stable, so ties keep facet-table order
+        normals = np.round([f.unit_normal for f in out], 9).reshape(len(out), self.n)
+        supports = [round(f.support, 9) for f in out]
+        order = np.lexsort([supports, *normals.T[::-1]])
+        return [out[i] for i in order.tolist()]
 
     def geometric_facets(self):
         return list(self._geometric_facets)
@@ -329,7 +336,13 @@ class Zonotope:
     def _flat_sign_vectors(self, flat, s, memo):
         """Vertex sign vectors of the face on the closed column set ``flat`` of rank s.
 
-        A parallel class has its two ends. Above that, the facets of the face
+        At the top of a full-rank zonotope (``flat`` all columns, s = rank =
+        n >= 2) every vertex is a vertex of a bounding facet's closed face
+        plus that facet's translation set. A closed 2-face below the top
+        gives the set of its vertex cycle (``_cycles``) and a parallel class
+        its two ends. Otherwise, and at the top of a rank-deficient zonotope,
+        whose column-space basis can disagree with its rank near the cut,
+        the facets of the face
         are the parent's closed (s-1)-faces G properly inside ``flat``, and
         every vertex is a vertex of some G plus one side of ``flat`` minus G:
         the columns whose residual off G's span points the way of the first
@@ -339,10 +352,19 @@ class Zonotope:
         """
         if (flat, s) in memo:
             return memo[flat, s]
-        d = self.directions
-        if s == 1:
-            half = [frozenset(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())]
+        if s == self.rank == self.n >= 2:
+            signs = {
+                frozenset(bf.translation_set) | v
+                for bf in self._bounding_facets
+                for v in self._flat_sign_vectors(bf.generating.columns, s - 1, memo)
+            }
+        elif s == 2 < self.rank:
+            signs = set(self._cycles[flat][0])
+        elif s == 1:
+            half = self._half(flat)
+            signs = {half, frozenset(flat) - half}
         else:
+            d = self.directions
             inside = set(flat)
             half = []
             for face, base in zip(self.generating_faces(s - 1), self._face_cache[s - 1][1]):
@@ -354,9 +376,59 @@ class Zonotope:
                 off = d[:, rest] - q @ (q.T @ d[:, rest])
                 side = frozenset(np.array(rest)[off.T @ off[:, 0] > 0.0].tolist())
                 half.extend(b | side for b in self._flat_sign_vectors(below, s - 1, memo))
-        # every face is centrally symmetric: the complement of a vertex is the opposite vertex
-        memo[flat, s] = signs = {v for h in half for v in (h, frozenset(flat) - h)}
+            # every face is centrally symmetric: the complement of a vertex is the opposite vertex
+            signs = {v for h in half for v in (h, frozenset(flat) - h)}
+        memo[flat, s] = signs
         return signs
+
+    def _half(self, flat):
+        """The columns of ``flat`` pointing the way of its first column."""
+        d = self.directions
+        return frozenset(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
+
+    @cached_property
+    def _cycles(self):
+        """Vertex cycle of every closed 2-face: ``{columns: (sign vectors, frame)}``.
+
+        The frame's rows e1, e2 span the face's plane: e1 is the first column
+        of the face's generating pair, e2 the second made orthogonal to it.
+        Each closed 1-face properly inside the face is split into its two
+        halves (:meth:`_half` and the rest), and the angle of its first
+        column in the frame is folded into [0, pi), swapping the halves when
+        it folds. From the union of the second halves, the walk trades each
+        class's second half for its first in angle order; the complements of
+        those m sets, in the same order, close the cycle. Consecutive sign
+        vectors differ in one parallel class, and the 2m of them run
+        counter-clockwise from e1 towards e2.
+        """
+        d = self.directions
+        faces = self.generating_faces(2)
+        pairs = np.array(self._face_cache[2][1])
+        e1 = d[:, pairs[:, 0]].T
+        e2 = d[:, pairs[:, 1]].T
+        e2 = e2 - e1 * np.sum(e1 * e2, axis=1)[:, None]
+        e2 /= np.linalg.norm(e2, axis=1)[:, None]
+        classes = [c.columns for c in self.generating_faces(1)]
+        firsts = [self._half(c) for c in classes]
+        halves = [(h, frozenset(c) - h) for c, h in zip(classes, firsts)]
+        angles = np.arctan2(e2 @ d, e1 @ d)[:, [c[0] for c in classes]]
+        flipped = angles < 0.0
+        angles[flipped] += np.pi
+        angles, flipped = angles.tolist(), flipped.tolist()
+        frames = np.stack([e1, e2], axis=1)
+        cycles = {}
+        for f, face in enumerate(faces):
+            flat = frozenset(face.columns)
+            inner = [c for c, cls in enumerate(classes) if len(cls) < len(flat) and flat.issuperset(cls)]
+            inner.sort(key=angles[f].__getitem__)
+            steps = [halves[c][::-1] if flipped[f][c] else halves[c] for c in inner]
+            v = frozenset().union(*(second for _, second in steps))
+            walk = []
+            for first, second in steps:
+                walk.append(v)
+                v = (v - second) | first
+            cycles[face.columns] = (walk + [flat - w for w in walk], frames[f])
+        return cycles
 
     @cached_property
     def _vertices(self):

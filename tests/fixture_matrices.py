@@ -9,8 +9,10 @@ row Grams, exercising the comparison-condition calculus.
 whose faces come out wrong when rank cuts depend on each submatrix's largest
 entry rather than on the column directions. ``near_cut_default_tol`` and
 ``near_cut_wide_tol`` are rank-3 matrices near the rank cut on which vertex
-enumeration by facet sub-zonotopes never ended. ``long_sums`` has facet
-translations and facet volumes that add 8 or more terms.
+enumeration by facet sub-zonotopes never ended; ``near_cut_rank_deficient``
+is a rank-2 matrix in R^3 whose column-space basis has three columns.
+``long_sums`` has facet translations and facet volumes that add 8 or more
+terms.
 """
 
 import numpy as np
@@ -101,6 +103,31 @@ def near_cut_wide_tol():
                 -2.7757414817578825, 4.2345681378342785, 3.5051548097960805,
                 3.3976426215935467, 3.2901304333910124, -1.3878707408789412,
                 0.8734817892458111, -1.6028951172840091, 4.4495925142393462,
+            ],
+        ]
+    )
+
+
+def near_cut_rank_deficient():
+    """3x5 of rank 2 at the default tolerance, with a third row of size 1e-9.
+
+    Columns 0 and 1 are within 1e-6 of parallel. Greedy ``independent_columns``
+    picks three columns, so the column-space basis does not match the rank and
+    the facet table cannot be built.
+    """
+    return np.array(
+        [
+            [
+                0.14462473167059664, 0.14462436285566171, -1.4321069144487169,
+                2.3350119662175937, 0.008202120078120361,
+            ],
+            [
+                -0.3269543230964199, -0.32695471724815395, 0.15451558463119425,
+                2.3817872060226932, 1.1414964262773715,
+            ],
+            [
+                4.816600623497077e-10, -4.0380990544150317e-10, 1.1126895512669107e-09,
+                -2.541378637107868e-11, -6.826635091618853e-11,
             ],
         ]
     )

@@ -6,6 +6,7 @@ hulls, direct support-function enumeration for facets, and hand-rolled
 classical Gram-Schmidt. Keep it slow and obvious.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -638,3 +639,64 @@ def _labelled_sign_vectors(z, labels, memo):
 def recursive_vertex_sign_vectors(z):
     """Vertex sign vectors of ``z`` by the sub-zonotope recursion, as a set."""
     return _labelled_sign_vectors(z, tuple(range(z.k)), {})
+
+
+# -- membership-mask mesh polygons, kept as the reference for the cycle walk --
+#
+# ``zonokit mesh`` before it walked each closed 2-face's vertex cycle: every
+# facet finds its vertices with a (vertices x columns) membership mask and
+# sorts them by atan2 about their centroid. It writes whatever surface that
+# gives, sphere or not.
+
+
+def mask_off_mesh(z):
+    """OFF text for a rank-3 zonotope: vertices then facet polygons (CCW)."""
+    from zonokit.cli import _fmt
+
+    verts = z.vertices()
+    signs = z.vertex_sign_vectors()
+    facets = z.geometric_facets()
+    lines = ["OFF", f"{len(verts)} {len(facets)} 0"]
+    for v in verts:
+        lines.append(" ".join(_fmt(x) for x in v))
+    indicator = np.zeros((len(signs), z.k), dtype=bool)
+    for i, s in enumerate(signs):
+        indicator[i, list(s)] = True
+    for f in facets:
+        # vertex S lies on the facet iff S minus the facet's columns is a side's sign set
+        on = np.zeros(len(signs), dtype=bool)
+        for bf in f.constituents:
+            free = np.zeros(z.k, dtype=bool)
+            free[list(bf.generating.columns)] = True
+            side = np.zeros(z.k, dtype=bool)
+            side[list(bf.translation_set)] = True
+            on |= np.all((indicator == side) | free, axis=1)
+        members = np.flatnonzero(on).tolist()
+        u = f.unit_normal
+        seed_axis = np.argmin(np.abs(u))
+        b1 = np.zeros(3)
+        b1[seed_axis] = 1.0
+        b1 = b1 - u * float(u @ b1)
+        b1 = b1 / np.linalg.norm(b1)
+        b2 = np.cross(u, b1)
+        centroid = np.mean([verts[i] for i in members], axis=0)
+        members.sort(
+            key=lambda i: math.atan2(
+                float((verts[i] - centroid) @ b2), float((verts[i] - centroid) @ b1)
+            )
+        )
+        lines.append(" ".join([str(len(members))] + [str(i) for i in members]))
+    return "\n".join(lines) + "\n"
+
+
+def off_is_sphere(text):
+    """Whether an OFF surface has every edge in two faces, once each way, and V - E + F = 2."""
+    lines = text.splitlines()
+    v, f, _ = (int(x) for x in lines[1].split())
+    directed = []
+    for line in lines[2 + v : 2 + v + f]:
+        idx = [int(x) for x in line.split()[1:]]
+        directed.extend(zip(idx, idx[1:] + idx[:1]))
+    edges = {frozenset(e) for e in directed}
+    once_each_way = len(set(directed)) == len(directed) == 2 * len(edges)
+    return once_each_way and v - len(edges) + f == 2

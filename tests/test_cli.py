@@ -226,6 +226,15 @@ class TestTileCommand:
         assert payload["order"] == [4, 3, 2, 1, 0]
         assert len(payload["tiles"]) == 9
 
+    def test_segment(self, tmp_path, capsys):
+        # a one-row matrix has no facets; containment is tested on [-0.5, 3]
+        p = tmp_path / "m.txt"
+        p.write_text("1 2 -0.5\n")
+        out = tmp_path / "t.json"
+        assert cli.main(["tile", str(p), "--out", str(out)]) == 0
+        assert "3 tiles, volume 3.5, validation pass" in capsys.readouterr().out
+        assert json.loads(out.read_text())["validation"]["containment_ok"]
+
 
 class TestRootCommand:
     def test_identity(self, tmp_path, capsys):
@@ -354,11 +363,64 @@ class TestMeshCommand:
         assert code in (cli.EXIT_OK, cli.EXIT_CAPACITY, cli.EXIT_MESH_RANK, cli.EXIT_PARSE)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix, flags",
+        [(near_cut_default_tol(), []), (near_cut_wide_tol(), ["--tol-rel", "1e-3"])],
+        ids=["default", "rel=1e-3"],
+    )
+    def test_near_cut_surface_refused(self, matrix, flags, tmp_path, capsys):
+        # overlapping closed 2-faces: the facet polygons do not close into a sphere
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, matrix)
+        out = tmp_path / "m.off"
+        assert cli.main(["mesh", str(p), "--out", str(out)] + flags) == cli.EXIT_MESH_RANK
+        err = capsys.readouterr().err
+        assert "V - E + F = " in err and "--tol-rel" in err
+        assert not out.exists()
+
     def test_determinism(self, a0_file, tmp_path):
         out1, out2 = tmp_path / "m1.off", tmp_path / "m2.off"
         cli.main(["mesh", a0_file, "--out", str(out1)])
         cli.main(["mesh", a0_file, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def mesh_matrix(rng, trial):
+    k = int(rng.integers(3, 11))
+    family = trial % 3
+    if family == 0:
+        return rng.normal(size=(3, k))
+    if family == 1:  # integer entries; the last column parallel to the first, the one before antiparallel
+        a = rng.integers(-2, 3, size=(3, k)).astype(float)
+        a[0, ~a.any(axis=0)] = 1.0
+        a[:, -1] = 2.0 * a[:, 0]
+        a[:, -2] = -a[:, 1]
+        return a
+    return rng.normal(size=(3, k)) * 10.0 ** rng.uniform(-4, 4, size=k)  # column scales 10^U(-4, 4)
+
+
+class TestAgainstMaskMesh:
+    """Polygons from the cycle walk equal the membership-mask polygons byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    def test_seeded_differential(self):
+        rng = np.random.default_rng(909)
+        meshes = refused = trial = 0
+        while meshes < 200:
+            trial += 1
+            tol = cli.Tolerance(rel=1e-3) if trial % 8 == 0 else cli.Tolerance()
+            z = Zonotope(mesh_matrix(rng, trial), tol)
+            if z.rank != 3:
+                continue
+            meshes += 1
+            want = oracles.mask_off_mesh(z)
+            if oracles.off_is_sphere(want):
+                assert cli.off_mesh(z) == want
+            else:
+                with pytest.raises(cli.MeshSurfaceError):
+                    cli.off_mesh(z)
+                refused += 1
+        assert refused <= 2
 
 
 class TestSymmetryCommand:

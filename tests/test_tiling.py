@@ -254,6 +254,17 @@ class TestValidateTiling:
         assert report.missing == [] and report.unexpected == []
         assert report.volume_sum == 5.0 and not report.volume_ok
 
+    def test_segment_tile_past_the_end(self):
+        # Z(1 2 -0.5) is [-0.5, 3]; tile 1 ([1, 3]) moved to [1.25, 3.25]
+        z = Zonotope(np.array([[1.0, 2.0, -0.5]]))
+        til = tile_zonotope(z)
+        assert validate_tiling(z, til).ok
+        tiles = [Tile(t.columns, t.translation.copy()) for t in til.tiles]
+        tiles[1].translation += 0.25
+        report = validate_tiling(z, Tiling(tiles, til.source))
+        assert report.containment_violations == [1]
+        assert report.census_ok and report.volume_ok and not report.containment_ok
+
     def test_missing_tile_reported(self):
         z = Zonotope(HEX2D)
         til = tile_zonotope(z)

@@ -17,6 +17,7 @@ import oracles
 from fixture_matrices import (
     hex_facet_generators,
     near_cut_default_tol,
+    near_cut_rank_deficient,
     near_cut_wide_tol,
     perturbed_hex_generators,
     scale_dependent_closure,
@@ -232,6 +233,17 @@ class TestGeometricFacets:
                 if count_parallel_classes(z.matrix, f.constituents[0].generating.columns) == 2
             ]
             assert len(paras) >= 6
+
+    def test_order_is_the_rounded_tuple_sort(self):
+        # the lexsort equals sorting by (rounded normal tuple, rounded support), ties in table order
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            k = int(rng.integers(3, 10))
+            z = random_zonotope(rng, 3, k) if trial % 2 else Zonotope(rng.normal(size=(3, k)))
+            want = sorted(
+                z._bounding_facets, key=lambda bf: (tuple(np.round(bf.unit_normal, 9)), round(bf.support, 9))
+            )
+            assert [f.constituents[0] for f in z.geometric_facets()] == want
 
 
 class TestVolume:
@@ -527,6 +539,14 @@ class TestVertices:
         assert len(signs) == len(z.vertices()) > 0
         assert {frozenset(range(z.k)) - s for s in signs} == signs
 
+    def test_near_cut_rank_deficient(self):
+        # below full rank the vertices never read the column-space basis, which
+        # here has three columns at rank 2
+        z = Zonotope(near_cut_rank_deficient())
+        assert z.rank == 2 and len(z.vertices()) == 10
+        signs = set(z.vertex_sign_vectors())
+        assert {frozenset(range(z.k)) - s for s in signs} == signs
+
     def test_no_lp_solver_import(self):
         script = (
             "import sys, numpy as np, zonokit\n"
@@ -557,6 +577,31 @@ def differential_matrix(rng, trial, n, k):
     c = rng.integers(-2, 3, size=(r, k)).astype(float)
     c[0, ~c.any(axis=0)] = 1.0
     return rng.normal(size=(n, r)) @ c
+
+
+class TestFaceCycles:
+    @pytest.mark.parametrize(
+        "matrix",
+        [A0, spread_scale_mesh(), np.random.default_rng(41).normal(size=(3, 8))]
+        + [np.random.default_rng(42).integers(-2, 3, size=(3, 9)).astype(float)],
+        ids=["A0", "spread", "gauss", "int"],
+    )
+    def test_walk_steps_and_orientation(self, matrix):
+        z = Zonotope(matrix)
+        classes = {frozenset(f.columns) for f in z.generating_faces(1)}
+        for bf in z.bounding_facets():
+            cycle, (e1, e2) = z._cycles[bf.generating.columns]
+            assert len(set(cycle)) == len(cycle) >= 4
+            # neighbours differ in exactly one parallel class of the face
+            for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                assert v ^ w in classes and v ^ w <= set(bf.generating.columns)
+            # oriented by the frame, the cycle runs counter-clockwise about the outward normal
+            if np.cross(e1, e2) @ bf.unit_normal < 0.0:
+                cycle = cycle[::-1]
+            side = frozenset(bf.translation_set)
+            poly = np.array([z.matrix[:, sorted(side | v)].sum(axis=1) for v in cycle])
+            newell = sum(np.cross(p, q) for p, q in zip(poly, np.roll(poly, -1, axis=0)))
+            assert newell @ bf.unit_normal > 0.0
 
 
 class TestAgainstSubZonotopeRecursion:
