@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-# Subsets per stacked call in subset_determinants and in the face closures:
+# Subsets per stacked call in subset_determinants, rank_census and the face closures:
 # bounds the temporary stacks of wide inputs without splitting desk-scale ones.
 SUBSET_BATCH = 8192
 
@@ -164,6 +164,63 @@ def column_subsets(m, subsets):
     a = as_matrix(m)
     idx = np.asarray(subsets, dtype=int)
     return np.ascontiguousarray(a[:, idx].transpose(1, 0, 2))
+
+
+def subsets(k, size):
+    """(C(k, size), size) array of the ``size``-subsets of range(k), in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), size))
+    return np.fromiter(flat, dtype=int).reshape(math.comb(k, size), size)
+
+
+def subset_index(rows, k):
+    """Place of each sorted row of ``rows`` among the :func:`subsets` of range(k) of its size.
+
+    Reflecting every column c to k - 1 - c turns lexicographic order into
+    reverse colexicographic order, so the place of c_0 < ... < c_(s-1) is
+    C(k, s) - 1 minus the colexicographic index of the reflected row, the
+    sum of C(k - 1 - c_i, s - i).
+    """
+    idx = np.asarray(rows, dtype=int)
+    s = idx.shape[-1]
+    binom = np.array([[math.comb(a, b) for b in range(s + 1)] for a in range(k)], dtype=int).reshape(k, s + 1)
+    return math.comb(k, s) - 1 - binom[k - 1 - idx, s - np.arange(s)].sum(axis=-1)
+
+
+def rank_census(m, size, tol=DEFAULT_TOL):
+    """(subsets, ranks): every ``size``-column subset of ``m`` and its rank.
+
+    The subsets come in lexicographic order (:func:`subsets`), so
+    :func:`subset_index` finds a subset's rank. Runs of up to
+    ``SUBSET_BATCH`` subsets are one :func:`rank_batch` each; a slice's rank
+    does not depend on the slices beside it.
+    """
+    a = as_matrix(m)
+    combos = subsets(a.shape[1], size)
+    ranks = np.zeros(len(combos), dtype=int)
+    for start in range(0, len(combos), SUBSET_BATCH):
+        ranks[start:start + SUBSET_BATCH] = rank_batch(column_subsets(a, combos[start:start + SUBSET_BATCH]), tol)
+    return combos, ranks
+
+
+def column_sums(m, columns, mask):
+    """(R, n) array whose row i is ``m[:, columns[i][mask[i]]].sum(axis=1)``.
+
+    ``columns`` broadcasts against the (R, p) boolean ``mask``. Rows with
+    equally many chosen columns are summed together along the last axis,
+    which numpy adds in the same order as it adds one row's columns alone,
+    so every row is bit-identical to the one-row sum; empty rows give zero.
+    """
+    a = as_matrix(m)
+    mask = np.asarray(mask, dtype=bool)
+    columns = np.broadcast_to(columns, mask.shape)
+    lengths = mask.sum(axis=1)
+    sums = np.zeros((len(mask), a.shape[0]))
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        # a boolean mask reads row by row, so each row keeps its columns' order
+        chosen = columns[rows][mask[rows]].reshape(len(rows), length)
+        sums[rows] = a[:, chosen].sum(axis=2).T
+    return sums
 
 
 def cross_product(vectors):

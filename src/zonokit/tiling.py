@@ -4,22 +4,28 @@ The shelling adds generators one at a time; each addition either extends
 every tile into the new dimension (rank grows) or glues a cup of new tiles
 onto the visible surface (rank stays). Its result is the regular tiling got
 by lifting each generator to a height that grows steeply with its place in
-the insertion order, so it is computed here in closed form: one rank census
-of the n-subsets and the signs of their n x n minors give every tile and its
-translation. Each independent full-size column subset is used exactly once.
-Independence is decided on the generators scaled to unit length
-(``units``), as in ``Zonotope``.
+the insertion order, so it is computed here in closed form, as array code:
+the zonotope's rank census of the n-subsets (``Zonotope.rank_census``,
+shared with the faces and with validation) and the signs of their n x n
+minors give every tile and its translation. Each independent full-size
+column subset is used exactly once. Independence is decided on the
+generators scaled to unit length, as in ``Zonotope``.
+
+Validation decides containment from each tile's highest corner along each
+facet normal and disjointness from each tile's cube coordinates of every
+tile centre, both as GEMMs. A tile or pair within a rounding bound of its
+cut is decided again by the per-pair matrix-vector products a loop uses, so
+every report is bit-identical to the loop's.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .numkit import as_matrix, as_vector, column_subsets, rank_batch, unit_columns
+from .numkit import as_matrix, as_vector, column_subsets, column_sums, rank_census, subset_index, unit_columns
 
 # Bytes of floats per stacked step of the tiling checks: bounds the temporaries
 # of large tilings without splitting desk-scale ones much.
@@ -113,17 +119,7 @@ def visible_surface(z, direction, tol=None):
     return [bf for bf in z.bounding_facets() if float(bf.unit_normal @ d) > cut]
 
 
-def _independent_subsets(units, n, tol):
-    """Lexicographic (T, n) array of the n-subsets of independent unit columns.
-
-    This is the census of every tiling: each row is the column set of
-    exactly one tile.
-    """
-    combos = np.reshape(list(itertools.combinations(range(units.shape[1]), n)), (-1, n))
-    return combos[rank_batch(column_subsets(units, combos), tol) == n]
-
-
-def _lifted_tiles(matrix, units, order, tol):
+def _lifted_tiles(matrix, census, order):
     """Tiles of the tiling the shelling builds when adding columns in ``order``.
 
     That tiling is the regular one got by lifting column g to height
@@ -132,32 +128,54 @@ def _lifted_tiles(matrix, units, order, tol):
     opposite to det A_B. Expanding that minor along the height row, only the
     term of the highest-placed column c of B + j whose removal leaves an
     independent subset counts, so every sign is that of an n x n minor of A.
-    Independence is decided on ``units``; translations sum ``matrix`` columns
-    by place in ``order``.
+    ``census`` is the (subsets, ranks) pair of ``numkit.rank_census`` for the
+    n-subsets; independence of B + j - c is looked up there by lexicographic
+    index. Translations sum ``matrix`` columns by place in ``order``.
     """
-    n = matrix.shape[0]
-    census = _independent_subsets(units, n, tol)
-    dets = np.linalg.det(column_subsets(matrix, census))
-    sign = dict(zip(map(tuple, census.tolist()), np.sign(dets).tolist()))
-    place = {g: i for i, g in enumerate(order)}
-    tiles = []
-    for b, sign_b in sign.items():
-        side = []
-        for j in order:
-            if j in b:
-                continue
-            members = b + (j,)
-            for c in sorted(members, key=place.__getitem__, reverse=True):
-                rest = tuple(sorted(x for x in members if x != c))
-                if rest in sign:
-                    break
-            # [B, j] without c, sorted: j passes the remaining columns above it
-            flips = 0 if c == j else sum(x > j for x in b if x != c)
-            p = members.index(c) + 1
-            if (-1) ** (n + 1 + p + flips) * sign[rest] == -sign_b:
-                side.append(j)
-        tiles.append(Tile(b, matrix[:, side].sum(axis=1)))
-    return tiles
+    n, k = matrix.shape
+    combos, ranks = census
+    independent = ranks == n
+    tiles = combos[independent]
+    own_signs = np.sign(np.linalg.det(column_subsets(matrix, tiles)))
+    signs = np.zeros(len(combos))
+    signs[independent] = own_signs
+    order = np.asarray(order, dtype=int)
+    place = np.empty(k, dtype=int)
+    place[order] = np.arange(k)
+    # row m: the places of a tile other than m, so b[:, others[m]] is B - b_m
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    translations = np.empty((len(tiles), n))
+    for rows in _chunks(len(tiles), (k - n) * n * n):
+        b = tiles[rows]
+        # the columns j outside each tile, in insertion order
+        outside = np.broadcast_to(order, (len(rows), k))[~(order[None, :, None] == b[:, None, :]).any(axis=2)]
+        outside = outside.reshape(len(rows), k - n)
+        # B with member m swapped for j, for every j and m
+        swapped = np.concatenate(
+            [
+                np.broadcast_to(b[:, None, others], (len(rows), k - n, n, n - 1)),
+                np.broadcast_to(outside[:, :, None, None], (len(rows), k - n, n, 1)),
+            ],
+            axis=3,
+        )
+        index = subset_index(np.sort(swapped, axis=3), k)
+        # members of B + j in that order, j last; removing j leaves B itself
+        removable = np.concatenate([independent[index], np.ones((len(rows), k - n, 1), dtype=bool)], axis=2)
+        places = np.concatenate(
+            [np.broadcast_to(place[b][:, None, :], (len(rows), k - n, n)), place[outside][:, :, None]], axis=2
+        )
+        # c is member m of B + j; m = n is j itself
+        m = np.where(removable, places, -1).argmax(axis=2)
+        at = np.minimum(m, n - 1)[:, :, None]
+        own = own_signs[rows][:, None]
+        rest = np.where(m == n, own, signs[np.take_along_axis(index, at, axis=2)[:, :, 0]])
+        # [B, j] without c, sorted: j passes the remaining columns of B above it
+        above = b[:, None, :] > outside[:, :, None]
+        flips = np.where(m == n, 0, above.sum(axis=2) - np.take_along_axis(above, at, axis=2)[:, :, 0])
+        # (-1) ** (n + 1 + p + flips), with p = m + 1 the place of c in [B, j]
+        parity = np.where((n + m + flips) % 2, -1.0, 1.0)
+        translations[rows] = column_sums(matrix, outside, parity * rest == -own)
+    return [Tile(c, t) for c, t in zip(map(tuple, tiles.tolist()), translations)]
 
 
 def tile_zonotope(z, order=None):
@@ -176,7 +194,7 @@ def tile_zonotope(z, order=None):
     order = [int(i) for i in order]
     if sorted(order) != list(range(z.k)):
         raise DimensionError("order must be a permutation of the generator indices")
-    return Tiling(_lifted_tiles(z.matrix, z.directions, order, z.tol), {"order": order})
+    return Tiling(_lifted_tiles(z.matrix, z.rank_census(z.n), order), {"order": order})
 
 
 def cup_of_cubes(z_prefix, new_gen, new_index):
@@ -188,7 +206,8 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
         raise DimensionError("new generator dimension mismatch")
     matrix = np.column_stack([z_prefix.matrix, g])
     local = matrix.shape[1] - 1
-    lifted = _lifted_tiles(matrix, unit_columns(matrix), list(range(local + 1)), z_prefix.tol)
+    census = rank_census(unit_columns(matrix), z_prefix.n, z_prefix.tol)
+    lifted = _lifted_tiles(matrix, census, list(range(local + 1)))
     tiles = [
         Tile(
             tuple(sorted(new_index if c == local else c for c in t.columns)),
@@ -212,8 +231,35 @@ def _chunks(count, row_floats):
     return [np.arange(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def _outside_by_corners(origins, gens, normals, bounds):
+    """Whether some corner of each tile is higher than a bound along its normal.
+
+    Every corner's height is one BLAS matrix-vector product per (tile,
+    normal) pair, as a loop over the tiles computes it; the cheap bound in
+    :func:`validate_tiling` defers to this near the cut.
+    """
+    n = origins.shape[1]
+    corners = np.array([[float(b) for b in np.binary_repr(i, n)] for i in range(2 ** n)])
+    points = origins[:, None, :] + np.matmul(corners, np.swapaxes(gens, 1, 2))
+    heights = np.matmul(points[:, None], normals)[:, :, :, 0]
+    return np.any(heights > bounds, axis=(1, 2))
+
+
+def _inside_by_products(inverses, offsets, eps):
+    """Whether each offset lies strictly inside its unit cube: one matrix-vector product per pair."""
+    coords = np.matmul(inverses, offsets[:, :, None])[:, :, 0]
+    return np.all((coords > eps) & (coords < 1.0 - eps), axis=1)
+
+
 def validate_tiling(z, tiling, tol=None):
-    """Check volume sum, subset census, interior disjointness, and containment."""
+    """Check volume sum, subset census, interior disjointness, and containment.
+
+    The census is ``z.rank_census(n)``, ranked anew only for a ``tol``
+    other than ``z.tol``. Disjointness and containment are decided by a few
+    GEMMs; a tile or pair within rounding of its cut is decided again by
+    the per-pair products a loop would use, so every decision is
+    bit-identical to the loop's.
+    """
     tol = tol or z.tol
     matrix = z.matrix
     n = z.n
@@ -222,7 +268,8 @@ def validate_tiling(z, tiling, tol=None):
     vol_sum = tiling.volume_sum(matrix)
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
-    want = set(map(tuple, _independent_subsets(z.directions, n, tol).tolist()))
+    combos, ranks = z.rank_census(n) if tol == z.tol else rank_census(z.directions, n, tol)
+    want = set(map(tuple, combos[ranks == n].tolist()))
     got = [t.columns for t in tiling.tiles]
     seen = set()
     duplicates = []
@@ -235,22 +282,37 @@ def validate_tiling(z, tiling, tol=None):
     unexpected = sorted(set(got) - want)
     census_ok = not duplicates and not missing and not unexpected
 
+    # A GEMM may round an n-term dot product differently from the
+    # matrix-vector product, by at most this multiple of the sum of the
+    # terms' magnitudes (plus an underflow allowance); decisions within that
+    # of their cut are made again the loop's way. Both tests run over chunks
+    # of tiles to bound their temporaries.
+    rounding = 8.0 * (n + 2) * np.finfo(float).eps
+    underflow = np.finfo(float).tiny
+
     # Tile j's centre strictly inside tile i (in tile i's cube coordinates)
-    # breaks interior disjointness. Here and in the containment test, matmul
-    # against an (.., n, 1) stack runs one matrix-vector product per vector,
-    # as a loop would, so every decision is bit-identical to the loop's. Both
-    # tests run over chunks of tiles to bound their temporaries.
+    # breaks interior disjointness. The offset's entries are at most
+    # |centre j| + |origin i| in size.
     eps = tol.threshold(1.0)
     tiles = len(tiling.tiles)
     gens = _tile_generators(matrix, tiling.tiles)
     origins = np.reshape([t.translation for t in tiling.tiles], (-1, n))
     centers = origins + gens.sum(axis=2) / 2.0
     inverses = np.linalg.inv(gens)
+    spans = rounding * np.abs(inverses).sum(axis=2).max(axis=1, initial=0.0)
+    reaches = np.abs(centers).max(axis=1, initial=0.0), np.abs(origins).max(axis=1, initial=0.0)
     disjoint_violations = []
     for rows in _chunks(tiles, tiles * n):
         offsets = centers[None, :, :] - origins[rows, None, :]
-        coords = np.matmul(inverses[rows, None], offsets[:, :, :, None])[:, :, :, 0]
-        inside = np.all((coords > eps) & (coords < 1.0 - eps), axis=2)
+        coords = np.matmul(offsets, np.swapaxes(inverses[rows], 1, 2))
+        margin = spans[rows, None] * (reaches[0][None, :] + reaches[1][rows, None]) + underflow
+        low, high = coords.min(axis=2) - eps, (1.0 - eps) - coords.max(axis=2)
+        inside = (low > margin) & (high > margin)
+        near = ~inside & ~((low < -margin) | (high < -margin))
+        near[np.arange(len(rows)), rows] = False
+        if near.any():
+            i, j = np.nonzero(near)
+            inside[i, j] = _inside_by_products(inverses[rows[i]], offsets[i, j], eps)
         inside[np.arange(len(rows)), rows] = False
         i, j = np.nonzero(inside)
         disjoint_violations.extend(zip(rows[i].tolist(), j.tolist()))
@@ -259,24 +321,31 @@ def validate_tiling(z, tiling, tol=None):
     if z.rank == 1:
         # a segment has no facets: test the bounding box, which for n = 1 is
         # the interval [sum min(0, a_j), sum max(0, a_j)] itself
-        normals = np.concatenate([-np.eye(n), np.eye(n)])[:, :, None]
+        units = np.concatenate([-np.eye(n), np.eye(n)])
         lo, hi = np.minimum(matrix, 0.0).sum(axis=1), np.maximum(matrix, 0.0).sum(axis=1)
         supports = np.concatenate([-lo, hi])
     else:
         facets = z.bounding_facets()
-        normals = np.reshape([bf.unit_normal for bf in facets], (-1, n, 1))
+        units = np.reshape([bf.unit_normal for bf in facets], (-1, n))
         supports = np.array([bf.support for bf in facets])
     max_h = float(np.abs(supports).max(initial=0.0))
     slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
     bounds = supports[:, None] + slack
-    corners = np.array(
-        [[float(b) for b in np.binary_repr(i, n)] for i in range(2 ** n)]
-    )
-    points = origins[:, None, :] + np.matmul(corners, np.swapaxes(gens, 1, 2))
+    # A tile's highest corner along u is u.o + sum of max(0, u.a_c) over its
+    # columns c, and every corner's height has terms of at most
+    # |u|.(|o| + sum of |a_c|) in size.
+    indicator = np.zeros((tiles, z.k))
+    np.put_along_axis(indicator, np.reshape(got, (tiles, n)), 1.0, axis=1)
+    rises = np.maximum(units @ matrix, 0.0).T
+    sizes = np.abs(origins) + indicator @ np.abs(matrix).T
     containment_violations = []
-    for rows in _chunks(tiles, len(supports) * 2 ** n):
-        heights = np.matmul(points[rows, None], normals)[:, :, :, 0]
-        outside = np.any(heights > bounds, axis=(1, 2))
+    for rows in _chunks(tiles, len(supports)):
+        gap = origins[rows] @ units.T + indicator[rows] @ rises - bounds[:, 0]
+        margin = rounding * (sizes[rows] @ np.abs(units).T) + underflow
+        outside = np.any(gap > margin, axis=1)
+        near = ~outside & ~np.all(np.abs(gap) > margin, axis=1)
+        if near.any():
+            outside[near] = _outside_by_corners(origins[rows[near]], gens[rows[near]], units[:, :, None], bounds)
         containment_violations.extend(rows[outside].tolist())
     containment_ok = not containment_violations
 

@@ -7,8 +7,9 @@ immutable and caches its derived structure on first use.
 Faces are keyed by column subsets: a generating face by its closed column
 set, a vertex A 1_S by its sign vector S. Every rank decision on a column
 subset is made on the generators scaled to unit length, so it sees
-directions only. Each closed (rank-1)-dimensional generating face gives
-exactly one opposite pair of facets. Vertices are enumerated over the same
+directions only; face closures read one cached rank census per subset
+size. Each closed (rank-1)-dimensional generating face gives exactly one
+opposite pair of facets. Vertices are enumerated over the same
 closed faces: every vertex is a vertex of a facet plus that facet's
 translation set. A closed 2-face is a zonogon whose vertex cycle comes from
 one angular sort of its parallel classes, a closed face of higher rank
@@ -163,6 +164,21 @@ class Zonotope:
     def _face_cache(self):
         return {}
 
+    @cached_property
+    def _censuses(self):
+        return {}
+
+    def rank_census(self, s):
+        """(subsets, ranks): every s-subset of the columns and its rank on ``directions``.
+
+        The subsets come in lexicographic order (``numkit.subsets``), so
+        ``numkit.subset_index`` finds a subset's rank. Each size is ranked
+        once and cached; faces, facets and tilings all read it.
+        """
+        if s not in self._censuses:
+            self._censuses[s] = numkit.rank_census(self.directions, s, self.tol)
+        return self._censuses[s]
+
     def generating_faces(self, s):
         """All maximal column subsets of rank s, as GeneratingFace records.
 
@@ -178,31 +194,35 @@ class Zonotope:
                 bases = {(i,): (i,) for i in range(self.k)}
             else:
                 bases = {}
-                combos = itertools.combinations(range(self.k), s)
-                while batch := list(itertools.islice(combos, max(1, numkit.SUBSET_BATCH // self.k))):
-                    for closure, base in self._closures(np.reshape(batch, (len(batch), s)), s):
-                        bases.setdefault(closure, base)
+                for closure, base in self._closures(s):
+                    bases.setdefault(closure, base)
             order = sorted(bases)
             self._face_cache[s] = ([GeneratingFace(c, s) for c in order], [bases[c] for c in order])
         return self._face_cache[s][0]
 
-    def _closures(self, combos, s):
-        """(closed column set, subset) for the rank-s subsets among the rows of ``combos``.
+    def _closures(self, s):
+        """(closed column set, subset) for every rank-s s-subset, in lexicographic order.
 
-        Column j is in a closure iff the subset plus j still has rank s; both
-        the subsets and their extensions by every column are one stacked rank.
-        The pairs come in the order of ``combos``.
+        Column j is in the closure of S iff S plus j still has rank s. For j
+        outside S that rank is read from the (s+1)-census, at the index of
+        S plus j sorted; the columns of S are in it. Runs of
+        ``SUBSET_BATCH // k`` subsets bound the index temporaries.
         """
-        ranks = numkit.rank_batch(numkit.column_subsets(self.directions, combos), self.tol)
+        combos, ranks = self.rank_census(s)
+        _, above = self.rank_census(s + 1)
         base = combos[ranks == s]
-        extended = np.column_stack(
-            [np.repeat(base, self.k, axis=0), np.tile(np.arange(self.k), len(base))]
-        )
-        inside = numkit.rank_batch(numkit.column_subsets(self.directions, extended), self.tol) == s
-        return [
-            (tuple(np.flatnonzero(row).tolist()), tuple(b))
-            for b, row in zip(base.tolist(), inside.reshape(-1, self.k))
-        ]
+        k = self.k
+        pairs = []
+        step = max(1, numkit.SUBSET_BATCH // k)
+        for start in range(0, len(base), step):
+            chunk = base[start:start + step]
+            inside = (chunk[:, :, None] == np.arange(k)).any(axis=1)
+            at, j = np.nonzero(~inside)
+            grown = np.sort(np.column_stack([chunk[at], j]), axis=1)
+            inside[at, j] = above[numkit.subset_index(grown, k)] == s
+            closures = [tuple(itertools.compress(range(k), row)) for row in inside.tolist()]
+            pairs.extend(zip(closures, map(tuple, chunk.tolist())))
+        return pairs
 
     def zone(self, i):
         """Generating facets whose column set contains generator i."""
@@ -246,7 +266,9 @@ class Zonotope:
         """Orthonormal basis of the column space (identity-free when full rank)."""
         if self.rank == self.n:
             return None
-        picked = numkit.independent_columns(self.directions, self.tol)
+        # near the cut greedy picks can outnumber the rank (a subset can rank
+        # above the whole set); the first ``rank`` of them span the basis
+        picked = numkit.independent_columns(self.directions, self.tol)[:self.rank]
         q, _ = numkit.qr_decompose(self.directions[:, picked], self.tol)
         return q
 
@@ -271,12 +293,11 @@ class Zonotope:
         outside = np.ones((len(faces), k), dtype=bool)
         for i, face in enumerate(faces):
             outside[i, face.columns] = False
-        negative = (outside & (proj < 0.0)).tolist()
-        positive = (outside & (proj >= 0.0)).tolist()
         # minus then plus side of each face
+        sides = np.stack([outside & (proj < 0.0), outside & (proj >= 0.0)], axis=1).reshape(-1, k)
         units = np.stack([-references, references], axis=1).reshape(-1, self.n)
-        tsets = [tuple(itertools.compress(range(k), row)) for pair in zip(negative, positive) for row in pair]
-        translations = _column_sums(self.matrix, tsets)
+        tsets = [tuple(itertools.compress(range(k), row)) for row in sides.tolist()]
+        translations = numkit.column_sums(self.matrix, np.arange(k), sides)
         supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0].tolist()
         volumes = _face_volumes(self.matrix, [face.columns for face in faces], self.rank - 1).tolist()
         facets = []
@@ -478,21 +499,6 @@ def _subset_volume(matrix, m):
     for _, d in numkit.subset_determinants(matrix, m):
         total += abs(d)
     return total
-
-
-def _column_sums(matrix, subsets):
-    """(len(subsets), n) array whose row i is ``matrix[:, subsets[i]].sum(axis=1)``.
-
-    Subsets of equal length are summed together along the last axis, which
-    numpy adds in the same order as it adds each subset alone, so every row
-    is bit-identical to the one-subset sum; empty subsets give zero.
-    """
-    sums = np.zeros((len(subsets), matrix.shape[0]))
-    lengths = np.array([len(c) for c in subsets])
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        rows = np.flatnonzero(lengths == length)
-        sums[rows] = matrix[:, [subsets[i] for i in rows]].sum(axis=2).T
-    return sums
 
 
 def _face_volumes(matrix, faces, d):

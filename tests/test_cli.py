@@ -1,10 +1,11 @@
 import json
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from zonokit import cli
+from zonokit import cli, numkit, tiling, zonotope
 from zonokit.congruence import CongruenceWitness
 from zonokit.tiling import Tiling
 from zonokit.zonotope import Zonotope
@@ -13,6 +14,7 @@ import oracles
 from fixture_matrices import (
     hex_facet_generators,
     near_cut_default_tol,
+    near_cut_rank_deficient,
     near_cut_wide_tol,
     scale_dependent_closure,
     spread_scale_mesh,
@@ -134,6 +136,16 @@ class TestVolumeCommand:
         err = capsys.readouterr().err
         assert "rank 2" in err
 
+    def test_monte_carlo_near_cut_rank_deficient(self, tmp_path, capsys):
+        # the Monte Carlo estimate reads the facets, whose column-space basis
+        # once had three columns at rank 2 here
+        p = tmp_path / "m.json"
+        write_json_matrix(p, near_cut_rank_deficient())
+        assert cli.main(["volume", str(p), "--mc-samples", "100"]) == 0
+        captured = capsys.readouterr()
+        assert "rank 2" in captured.err and "Traceback" not in captured.err
+        assert "mc-volume" in captured.out
+
 
 class TestCongruentCommand:
     def test_positive_with_witness_file(self, tmp_path, capsys):
@@ -225,6 +237,24 @@ class TestTileCommand:
         payload = json.loads(out.read_text())
         assert payload["order"] == [4, 3, 2, 1, 0]
         assert len(payload["tiles"]) == 9
+
+    def test_one_rank_census_per_subset_size(self, tmp_path, monkeypatch):
+        # faces, facets, tiles and validation all read the 3- and 4-subset
+        # censuses, each ranked once
+        p = tmp_path / "m.json"
+        write_json_matrix(p, np.random.default_rng(8).normal(size=(4, 8)))
+        ranked = []
+        original = numkit.rank_batch
+
+        def counted(stack, *args, **kwargs):
+            ranked.append(len(stack))
+            return original(stack, *args, **kwargs)
+
+        for module in (numkit, tiling, zonotope):  # by-name imports too
+            if vars(module).get("rank_batch") is original:
+                monkeypatch.setattr(module, "rank_batch", counted)
+        assert cli.main(["tile", str(p), "--out", str(tmp_path / "t.json")]) == 0
+        assert sum(ranked) == comb(8, 3) + comb(8, 4) == 126
 
     def test_segment(self, tmp_path, capsys):
         # a one-row matrix has no facets; containment is tested on [-0.5, 3]

@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -204,6 +205,32 @@ class TestSubsetDeterminants:
     def test_size_above_rows_rejected(self):
         with pytest.raises(DimensionError):
             list(numkit.subset_determinants(np.eye(2), 3))
+
+
+class TestRankCensus:
+    def test_subsets_and_their_index(self):
+        for k in range(1, 8):
+            for size in range(1, k + 1):
+                rows = numkit.subsets(k, size)
+                assert rows.tolist() == [list(c) for c in combinations(range(k), size)]
+                assert numkit.subset_index(rows, k).tolist() == list(range(len(rows)))
+
+    def test_ranks_equal_rank(self, monkeypatch):
+        # entries in {-1, 0, 1} tie under complete pivoting; 4 subsets per rank_batch
+        a = np.random.default_rng(25).integers(-1, 2, size=(3, 7)).astype(float)
+        monkeypatch.setattr(numkit, "SUBSET_BATCH", 4)
+        for size in (2, 3, 4):
+            combos, ranks = numkit.rank_census(a, size)
+            assert ranks.tolist() == [rank(a[:, c]) for c in combos.tolist()]
+
+    def test_column_sums_equal_one_row_sums(self):
+        rng = np.random.default_rng(26)
+        a = rng.normal(size=(3, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)
+        columns = np.stack([rng.permutation(12) for _ in range(40)])
+        mask = rng.random((40, 12)) < 0.6
+        sums = numkit.column_sums(a, columns, mask)
+        for row, cols, chosen in zip(sums, columns, mask):
+            assert [x.hex() for x in row] == [x.hex() for x in a[:, cols[chosen]].sum(axis=1)]
 
 
 class TestCrossProduct:

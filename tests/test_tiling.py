@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+
+import zonokit.tiling as tiling_mod
 
 from zonokit.errors import DegeneracyError, DimensionError
 from zonokit.numkit import Tolerance
@@ -293,7 +297,13 @@ def differential_matrix(rng, trial, n, k):
 
 
 def differential_inputs():
-    """(matrix, tolerance) pairs: 60 seeded ones, then one with long sums."""
+    """(matrix, tolerance) pairs: 60 seeded ones, one with long sums, then ties and near-parallel pairs.
+
+    A closure rank sees the subset plus the new column in sorted column
+    order, where complete pivoting breaks ties by position: entries in
+    {-1, 0, 1} give unit columns with tied entries. The near-parallel
+    pairs sit 1e-11..1e-7 off a multiple of another column, around the cut.
+    """
     rng = np.random.default_rng(404)
     for trial in range(60):
         n = 2 + trial % 4
@@ -301,6 +311,19 @@ def differential_inputs():
         tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
         yield differential_matrix(rng, trial, n, k), tol
     yield long_sums(), Tolerance()
+    rng = np.random.default_rng(405)
+    for trial in range(48):
+        n = 2 + trial % 4
+        k = int(rng.integers(n + 1, min(9, n + 4) + 1))
+        if trial % 2:
+            a = rng.integers(-1, 2, size=(n, k)).astype(float)
+            a[0, ~a.any(axis=0)] = 1.0  # no zero generators
+            a[:, -1] = 2.0 * a[:, 0]  # a parallel pair of tied columns
+        else:
+            a = rng.normal(size=(n, k))
+            i, j = rng.choice(k, size=2, replace=False)
+            a[:, j] = rng.choice([-2.0, 0.5, 1.0]) * a[:, i] + 10.0 ** rng.uniform(-11, -7) * rng.normal(size=n)
+        yield a, Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
 
 
 class TestAgainstLoopReferences:
@@ -322,6 +345,68 @@ class TestAgainstLoopReferences:
             shifted = Tile(til.tiles[0].columns, til.tiles[0].translation + 0.3 * z.matrix[:, til.tiles[0].columns[0]])
             broken = Tiling([shifted] + til.tiles[1:] + til.tiles[-1:], til.source)
             assert vars(validate_tiling(z, broken, tol)) == vars(oracles.loop_validate_tiling(z, broken, tol))
+
+
+class TestRecheckNearTheCut:
+    """A tile corner or a tile centre within rounding of its cut is decided by the per-pair products.
+
+    Each case moves one tile so that a decision lands a few units in the
+    last place off its cut, asserts that the recheck ran, and compares the
+    report with the loop's.
+    """
+
+    MATRICES = [A0, np.random.default_rng(31).normal(size=(4, 7))]
+    OFFSETS = (-2e-16, -1e-16, 0.0, 1e-16, 2e-16)
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        original = getattr(tiling_mod, name)
+
+        def recorded(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(tiling_mod, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("matrix", MATRICES, ids=["A0", "gauss4x7"])
+    def test_corner_on_the_containment_cut(self, monkeypatch, matrix):
+        # the tile corner highest above a facet's support is raised to the
+        # containment bound, support + slack
+        z = Zonotope(matrix)
+        til = tile_zonotope(z)
+        facets = z.bounding_facets()
+        supports = np.array([bf.support for bf in facets])
+        bound = supports + 16.0 * z.tol.threshold(np.abs(supports).max())
+        corners = np.array(list(itertools.product([0.0, 1.0], repeat=z.n)))
+        normals = np.array([bf.unit_normal for bf in facets])
+        tops = np.array([np.max((t.translation + corners @ z.matrix[:, list(t.columns)].T) @ normals.T, axis=0)
+                         for t in til.tiles])
+        t, f = np.unravel_index(np.argmax(tops - supports), tops.shape)
+        for offset in self.OFFSETS:
+            calls = self.spy(monkeypatch, "_outside_by_corners")
+            tiles = [Tile(x.columns, x.translation.copy()) for x in til.tiles]
+            tiles[t].translation += (bound[f] - tops[t, f] + offset * np.abs(supports).max()) * normals[f]
+            broken = Tiling(tiles, til.source)
+            report = validate_tiling(z, broken)
+            assert calls and calls[0] >= 1
+            assert vars(report) == vars(oracles.loop_validate_tiling(z, broken, z.tol))
+
+    @pytest.mark.parametrize("matrix", MATRICES, ids=["A0", "gauss4x7"])
+    def test_centre_on_the_disjointness_cut(self, monkeypatch, matrix):
+        # a copy of tile 0 moved by (eps - 1/2) of its first generator: the
+        # copy's centre is at cube coordinate eps in tile 0, and tile 0's at 1 - eps in the copy
+        z = Zonotope(matrix)
+        til = tile_zonotope(z)
+        eps = z.tol.threshold(1.0)
+        first = til.tiles[0]
+        for offset in self.OFFSETS:
+            calls = self.spy(monkeypatch, "_inside_by_products")
+            shift = (eps + offset - 0.5) * z.matrix[:, first.columns[0]]
+            broken = Tiling(til.tiles + [Tile(first.columns, first.translation + shift)], til.source)
+            report = validate_tiling(z, broken)
+            assert calls and calls[0] >= 2
+            assert vars(report) == vars(oracles.loop_validate_tiling(z, broken, z.tol))
 
 
 def tile_bits(tiles):

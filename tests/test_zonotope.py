@@ -547,6 +547,17 @@ class TestVertices:
         signs = set(z.vertex_sign_vectors())
         assert {frozenset(range(z.k)) - s for s in signs} == signs
 
+    def test_near_cut_rank_deficient_facets(self):
+        # greedy independent columns pick three columns at rank 2; the basis
+        # keeps the first two, so the facet table builds and agrees with the vertices
+        z = Zonotope(near_cut_rank_deficient())
+        facets = z.bounding_facets()
+        assert len(facets) == 10
+        points = np.array(z.vertices())
+        assert len(points) == 10
+        for bf in facets:
+            assert abs(np.max(points @ bf.unit_normal) - bf.support) <= 1e-12
+
     def test_no_lp_solver_import(self):
         script = (
             "import sys, numpy as np, zonokit\n"
