@@ -22,8 +22,6 @@ from .numkit import (
     Tolerance,
     as_matrix,
     gram,
-    independent_columns,
-    orthonormal_complement,
     qr_decompose,
     rank,
 )
@@ -94,29 +92,21 @@ def same_shape(a, b, tol=DEFAULT_TOL):
 def find_orthogonal(a, b, tol=DEFAULT_TOL):
     """Construct Q with orthonormal columns such that b = Q a.
 
-    Requires same_shape(a, b) and a.rows <= b.rows. A maximal independent
-    column set of ``a`` is mapped onto the matching columns of ``b``;
-    QR-derived orthonormal complements extend the map deterministically, and
-    dependent columns are carried automatically.
+    Requires same_shape(a, b) and a.rows <= b.rows. Q = U V^T from the thin
+    SVD U S V^T of b a^T is the orthogonal Procrustes solution (Schoenemann,
+    1966): it minimizes ||b - Q a|| over every Q with orthonormal columns,
+    and the minimum depends only on the singular values, so no rank decision
+    is made. On the complement of col(a), Q is whatever completion the SVD
+    returns.
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    m, n = a.shape[0], b.shape[0]
-    if m > n:
+    if a.shape[0] > b.shape[0]:
         raise DimensionError("find_orthogonal requires a.rows <= b.rows")
     if not same_shape(a, b, tol):
         raise NoWitnessError("Gram matrices differ; no orthogonal map exists")
-    picked = independent_columns(a, tol)
-    if not picked:
-        return np.eye(n, m)
-    qa, _ = qr_decompose(a[:, picked], tol)
-    qb, _ = qr_decompose(b[:, picked], tol)
-    core = qb @ qa.T
-    u = orthonormal_complement(qa)
-    if u.shape[1] == 0:
-        return core
-    v = orthonormal_complement(qb)[:, : u.shape[1]]
-    return core + v @ u.T
+    u, _, vt = np.linalg.svd(b @ a.T, full_matrices=False)
+    return u @ vt
 
 
 def triangular_signs(r, s, tol=DEFAULT_TOL):
@@ -331,24 +321,21 @@ def _components(labels):
 def _verify_assignment(a, b, perm, sgn, tol, cut, found):
     """Build Q for one signed assignment and accept it on a small residual.
 
-    Negating every sign changes no Gram entry, so it must not change the
-    verdict; but with the loose search tolerance ``find_orthogonal`` can
-    count small columns as dependent and carry them through an arbitrarily
-    oriented complement, whose fit then hangs on that global sign. The
-    negated assignment is tried when the first one fails.
+    Q is the Procrustes map of ``find_orthogonal``, so the residual is the
+    smallest any Q with orthonormal columns gives, and negating every sign
+    (which maps Q to -Q) leaves it unchanged. The Gram check inside uses the
+    search cut as its absolute part, as the pairwise checks did.
     """
-    search_tol = Tolerance(abs=max(cut, tol.abs), rel=tol.rel)
-    for signs in (np.asarray(sgn, dtype=float), -np.asarray(sgn, dtype=float)):
-        mapped = a[:, perm] * signs
-        try:
-            q = find_orthogonal(mapped, b, search_tol)
-        except (NoWitnessError, DegeneracyError):
-            continue
-        res = np.linalg.norm(b - q @ mapped)
-        if res <= max(1e-8 * np.linalg.norm(b), 1e-12):
-            found["witness"] = CongruenceWitness(tuple(perm), tuple(int(s) for s in signs), q)
-            return True
-    return False
+    signs = np.asarray(sgn, dtype=float)
+    mapped = a[:, perm] * signs
+    try:
+        q = find_orthogonal(mapped, b, Tolerance(abs=max(cut, tol.abs), rel=tol.rel))
+    except NoWitnessError:
+        return False
+    if np.linalg.norm(b - q @ mapped) > max(1e-8 * np.linalg.norm(b), 1e-12):
+        return False
+    found["witness"] = CongruenceWitness(tuple(perm), tuple(int(s) for s in signs), q)
+    return True
 
 
 def _comparison_factor(m, tol):

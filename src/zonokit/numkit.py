@@ -356,26 +356,6 @@ def independent_columns(m, tol=DEFAULT_TOL):
     return picked
 
 
-def orthonormal_complement(q):
-    """Orthonormal basis of the orthogonal complement of col(q) in its ambient space.
-
-    ``q`` must have orthonormal columns; returns an n x (n-k) matrix, chosen
-    deterministically via a full QR extension.
-    """
-    q = as_matrix(q)
-    n, k = q.shape
-    if k == 0:
-        return np.eye(n)
-    if k >= n:
-        return np.zeros((n, 0))
-    full, _ = np.linalg.qr(q, mode="complete")
-    comp = full[:, k:]
-    # full QR may flip the leading block's orientation; re-orthogonalize against q
-    comp = comp - q @ (q.T @ comp)
-    comp, _ = np.linalg.qr(comp)
-    return comp
-
-
 def sign_normalize(v, tol=DEFAULT_TOL):
     """Flip v so its first coordinate of significant magnitude is positive.
 

@@ -11,6 +11,7 @@ from zonokit.tiling import Tiling
 from zonokit.zonotope import Zonotope
 
 import oracles
+from test_congruence import huge_column, signed_copy, spread_norms
 from fixture_matrices import (
     hex_facet_generators,
     near_cut_default_tol,
@@ -169,6 +170,21 @@ class TestCongruentCommand:
             ),
         )
         assert w.residual(a, b) <= 1e-8 * max(1.0, np.linalg.norm(b))
+
+    @pytest.mark.parametrize("source", [huge_column, spread_norms], ids=lambda f: f.__name__)
+    def test_spread_copies_pass_re_verification(self, source, tmp_path):
+        rng = np.random.default_rng(92)
+        pa, pb, out_file = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "w.json"
+        for _ in range(10):
+            a = source(rng)
+            b = signed_copy(rng, a)
+            write_text_matrix(pa, a)
+            write_text_matrix(pb, b)
+            assert cli.main(["congruent", str(pa), str(pb), "--out", str(out_file)]) == 0
+            payload = json.loads(out_file.read_text())
+            q = np.asarray(payload["q"]["data"]).reshape(payload["q"]["rows"], payload["q"]["cols"])
+            w = CongruenceWitness(tuple(payload["sigma"]), tuple(payload["signs"]), q)
+            assert w.residual(a, b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
     def test_negative_scaled_copy(self, tmp_path):
         from fixture_matrices import gram_equal_pairs

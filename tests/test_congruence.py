@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonokit import congruence
 from zonokit.congruence import (
     check_conditions,
     congruent_zonotopes,
@@ -289,6 +290,20 @@ def signed_copy(rng, a):
     return oracles.random_orthogonal(rng, a.shape[0]) @ (a[:, sigma] * signs)
 
 
+def huge_column(rng):
+    """Gaussian 3x6 with column 0 scaled by 1e6."""
+    a = rng.normal(size=(3, 6))
+    a[:, 0] *= 1e6
+    return a
+
+
+def spread_norms(rng):
+    """4x5 with column norms log-uniform on [0.03, 3.6e5]."""
+    a = rng.normal(size=(4, 5))
+    norms = np.exp(rng.uniform(np.log(0.03), np.log(3.6e5), size=5))
+    return a * (norms / np.linalg.norm(a, axis=0))
+
+
 def adversarial_k10():
     """(name, a, b, congruent) at k = 10, where signed-permutation backtracking
     explores on the order of k! * 2^(k-1) nodes."""
@@ -413,6 +428,45 @@ class TestCongruenceDecision:
         for w, (x, y) in zip(witnesses, pairs):
             if w is not None:
                 assert w.residual(x, y) <= 1e-8 * np.linalg.norm(y)
+
+
+class TestProcrustesWitness:
+    @pytest.mark.parametrize("source", [huge_column, spread_norms], ids=lambda f: f.__name__)
+    def test_spread_copies_found(self, source):
+        # a rank decision at the Gram cut counted the small columns as
+        # dependent here, and the witness for a genuine copy failed
+        rng = np.random.default_rng(57)
+        for _ in range(100):
+            a = source(rng)
+            b = signed_copy(rng, a)
+            w = congruent_zonotopes(a, b)
+            assert w is not None
+            assert w.residual(a, b) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("rel", [1e-9, 1e-3])
+    def test_global_sign_gives_the_same_verdict(self, rel):
+        # negating every column changes no Gram entry, so it must not change
+        # the verdict, for the true assignment and for a random one alike
+        tol = Tolerance(rel=rel)
+        rng = np.random.default_rng(58)
+        accepted = 0
+        for i in range(300):
+            source = (huge_column, spread_norms, lambda r: scaled_instance(r, True, 6)[0])[i % 3]
+            a = source(rng)
+            k = a.shape[1]
+            sigma, signs = oracles.random_signed_permutation(rng, k)
+            b = oracles.random_orthogonal(rng, a.shape[0]) @ (a[:, sigma] * signs)
+            ga, gb = gram(a), gram(b)
+            cut = tol.threshold(max(np.abs(ga).max(), np.abs(gb).max()))
+            assignments = [(sigma, signs), oracles.random_signed_permutation(rng, k)]
+            for perm, sgn in assignments:
+                verdicts = [
+                    congruence._verify_assignment(a, b, list(perm), list(s * sgn), tol, cut, {})
+                    for s in (1.0, -1.0)
+                ]
+                assert verdicts[0] == verdicts[1]
+                accepted += verdicts[0]
+        assert accepted >= 300
 
 
 class TestCheckConditions:

@@ -16,7 +16,6 @@ from zonokit.numkit import (
     determinant,
     gram,
     independent_columns,
-    orthonormal_complement,
     qr_decompose,
     rank,
     rank_batch,
@@ -388,13 +387,6 @@ class TestSignedCompound:
 class TestHelpers:
     def test_independent_columns(self):
         assert independent_columns(A0) == [0, 1, 3]
-
-    def test_orthonormal_complement(self):
-        q = np.eye(4)[:, :2]
-        comp = orthonormal_complement(q)
-        assert comp.shape == (4, 2)
-        assert np.abs(q.T @ comp).max() <= 1e-12
-        assert np.allclose(comp.T @ comp, np.eye(2))
 
     def test_sign_normalize(self):
         assert np.allclose(sign_normalize(np.array([-1.0, 2.0])), [1.0, -2.0])
