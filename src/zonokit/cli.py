@@ -25,7 +25,7 @@ from .errors import (
     NoRealRootError,
     ZonokitError,
 )
-from .numkit import Tolerance, as_matrix, subset_determinants
+from .numkit import Tolerance, as_matrix
 from .zonotope import Zonotope
 
 EXIT_OK = 0
@@ -53,14 +53,21 @@ class RunConfig:
         return Tolerance(abs=self.tol_abs, rel=self.tol_rel)
 
 
-def _parse_float(token, where):
+def _parse_floats(tokens, where):
+    """Finite floats of ``tokens``, or ParseFailure at the first bad one, located by ``where(index)`` only then."""
     try:
-        value = float(token)
-    except (TypeError, ValueError) as exc:
-        raise ParseFailure(f"{where}: not a number: {token!r}") from exc
-    if not math.isfinite(value):
-        raise ParseFailure(f"{where}: NaN/Inf not admitted: {token!r}")
-    return value
+        values = [float(token) for token in tokens]
+        if all(map(math.isfinite, values)):
+            return values
+    except (TypeError, ValueError):
+        pass
+    for i, token in enumerate(tokens):
+        try:
+            value = float(token)
+        except (TypeError, ValueError) as exc:
+            raise ParseFailure(f"{where(i)}: not a number: {token!r}") from exc
+        if not math.isfinite(value):
+            raise ParseFailure(f"{where(i)}: NaN/Inf not admitted: {token!r}")
 
 
 def load_matrix(path):
@@ -84,16 +91,14 @@ def load_matrix(path):
             raise ParseFailure(f"{path}: rows and cols must be positive integers and data a list")
         if len(data) != rows * cols:
             raise ParseFailure(f"{path}: data length {len(data)} != rows*cols = {rows * cols}")
-        values = [_parse_float(x, path) for x in data]
+        values = _parse_floats(data, lambda i: path)
         return np.asarray(values, dtype=float).reshape(rows, cols)
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        entries = []
-        for colno, token in enumerate(line.split(), start=1):
-            entries.append(_parse_float(token, f"{path}:{lineno}:{colno}"))
+        entries = _parse_floats(line.split(), lambda i: f"{path}:{lineno}:{i + 1}")
         if width is None:
             width = len(entries)
         elif len(entries) != width:
@@ -139,7 +144,7 @@ def _point_rows(rows, where):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseFailure(f"{where}: every point needs {width} coordinates")
-    return np.asarray([[_parse_float(x, where) for x in r] for r in rows])
+    return np.asarray([_parse_floats(r, lambda i: where) for r in rows])
 
 
 def matrix_to_dict(m):
@@ -173,7 +178,7 @@ def cmd_volume(args, cfg):
     indep = 0
     if z.rank == z.n:
         det_cut = cfg.tol.threshold(float(np.abs(matrix).max()) ** z.n)
-        indep = sum(1 for _, d in subset_determinants(z.matrix, z.n) if abs(d) > det_cut)
+        indep = int(np.count_nonzero(np.abs(z.subset_measures(z.n)) > det_cut))
     if z.rank < z.n:
         print(f"warning: rank {z.rank} < dimension {z.n}; reporting the {z.rank}-volume", file=sys.stderr)
     print(f"rank {z.rank}, volume {_fmt(vol)}, {indep}/{total} subsets independent")

@@ -55,8 +55,7 @@ class CongruenceWitness:
     def permutation_matrix(self):
         k = len(self.sigma)
         p = np.zeros((k, k))
-        for i, src in enumerate(self.sigma):
-            p[src, i] = 1.0
+        p[list(self.sigma), np.arange(k)] = 1.0
         return p
 
 

@@ -238,14 +238,8 @@ def cross_product(vectors):
         raise DimensionError(f"need exactly n-1 vectors of dimension n >= 2, got {len(vs)} in dim {n}")
     if any(v.size != n for v in vs):
         raise DimensionError("cross_product inputs must share one dimension")
-    stack = np.column_stack(vs)
-    keep = np.ones(n, dtype=bool)
-    out = np.empty(n)
-    for i in range(n):
-        keep[i] = False
-        out[i] = (-1.0) ** i * np.linalg.det(stack[keep, :])
-        keep[i] = True
-    return out
+    minors = np.linalg.det(np.column_stack(vs)[omit_each(n)])
+    return np.where(np.arange(n) % 2 == 1, -minors, minors)
 
 
 def gram(m):
@@ -269,20 +263,23 @@ def qr_decompose(m, tol=DEFAULT_TOL):
     return q * flip, flip[:, None] * r
 
 
+def omit_each(n):
+    """(n, n - 1) array whose row i is range(n) without i: it stacks the minors deleting one row or column.
+
+    ``np.linalg.det`` factors every slice of a stack on its own, so a stacked minor is its one-matrix value.
+    """
+    return (np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])).reshape(n, max(n - 1, 0))
+
+
 def _minor_matrix(a, signed):
+    """All n^2 minors as one determinant of an (n, n, n-1, n-1) stack; for n = 1 each is 1."""
     n = a.shape[0]
-    out = np.empty((n, n))
-    keep_r = np.ones(n, dtype=bool)
-    keep_c = np.ones(n, dtype=bool)
-    for i in range(n):
-        keep_r[i] = False
-        for j in range(n):
-            keep_c[j] = False
-            minor = np.linalg.det(a[np.ix_(keep_r, keep_c)]) if n > 1 else 1.0
-            out[i, j] = (-1.0) ** (n + i + j) * minor if signed else minor
-            keep_c[j] = True
-        keep_r[i] = True
-    return out
+    others = omit_each(n)
+    minors = np.linalg.det(a[others[:, None, :, None], others[None, :, None, :]]).reshape(n, n)
+    if not signed:
+        return minors
+    parity = (n + np.arange(n)[:, None] + np.arange(n)) % 2
+    return np.where(parity == 1, -minors, minors)
 
 
 def compound(m):
@@ -317,9 +314,8 @@ def subset_determinants(m, size):
     a = as_matrix(m)
     if size > a.shape[0]:
         raise DimensionError("subset size exceeds row count")
-    combos = itertools.combinations(range(a.shape[1]), size)
-    while batch := list(itertools.islice(combos, SUBSET_BATCH)):
-        yield from zip(batch, subset_measures(a, np.reshape(batch, (len(batch), size))).tolist())
+    combos = subsets(a.shape[1], size)
+    yield from zip(map(tuple, combos.tolist()), subset_measures(a, combos).tolist())
 
 
 def subset_measures(m, subsets):

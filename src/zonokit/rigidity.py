@@ -71,15 +71,11 @@ class SignatureCongruenceReport:
     note: str = ""
 
 
-def _alternating(n):
-    return np.fromiter(((-1.0) ** i for i in range(n)), dtype=float, count=n)
-
-
 def resign_for_compound(b):
     """Entrywise (-1)^(n+i+j) re-signing linking the two minor conventions."""
     b = as_matrix(b)
     n = b.shape[0]
-    d = _alternating(n)
+    d = (-1.0) ** np.arange(n)
     return ((-1.0) ** n) * np.outer(d, d) * b
 
 
@@ -90,7 +86,7 @@ def _root_for(bs, n, tol):
         return None
     power = 1.0 / (n - 1)
     t = np.sign(delta) * abs(delta) ** power if n % 2 == 0 else abs(delta) ** power
-    d = _alternating(n)
+    d = (-1.0) ** np.arange(n)
     m = np.outer(d, d) * bs
     return t * np.linalg.inv(m.T)
 

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import DimensionError
 from .numkit import DEFAULT_TOL, as_vector
 
+# Floats per stacked pairwise difference: bounds the temporaries of large point sets.
+PAIR_FLOATS = 1 << 16
+
 
 @dataclass(eq=False)
 class SymmetryReport:
@@ -37,18 +40,19 @@ class SegmentLoop:
             raise ValueError("segment coordinates must be finite")
         cut = tol.threshold(np.abs(seg).max() if seg.size else 0.0)
         count = seg.shape[0]
-        for j in range(count):
-            gap = seg[(j + 1) % count, 0] - seg[j, 1]
-            if np.abs(gap).max() > cut:
-                raise ValueError(f"loop not closed between segments {j} and {(j + 1) % count}")
+        # gap j runs from the end of segment j to the start of segment j + 1
+        gaps = np.concatenate([seg[1:, 0], seg[:1, 0]]) - seg[:, 1]
+        open_at = np.abs(gaps).max(axis=1) > cut
+        if open_at.any():
+            j = int(open_at.argmax())
+            raise ValueError(f"loop not closed between segments {j} and {(j + 1) % count}")
         self.segments = seg
 
     @classmethod
     def from_polygon(cls, vertices, tol=DEFAULT_TOL):
         """Loop of consecutive edges of a polygon given by its vertex cycle."""
         v = _points(vertices)
-        segs = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-        return cls(segs, tol)
+        return cls(np.stack([v, np.concatenate([v[1:], v[:1]])], axis=1), tol)
 
     def displacements(self):
         return self.segments[:, 1, :] - self.segments[:, 0, :]
@@ -89,29 +93,39 @@ def cone_section(points, center, t):
     return t * c + (1.0 - t) * pts
 
 
+def _within(a, b, cut):
+    """(len(a), len(b)) booleans: whether a_i - b_j is at most ``cut`` in every coordinate."""
+    step = max(1, PAIR_FLOATS // max(b.size, 1))  # rows of ``a`` per stacked difference
+    return np.concatenate([np.abs(a[i:i + step, None] - b).max(axis=2) <= cut for i in range(0, len(a), step)])
+
+
 def _dedupe(pts, cut):
-    unique = []
-    for p in pts:
-        if not any(np.abs(p - q).max() <= cut for q in unique):
-            unique.append(p)
-    return unique
+    """The rows of ``pts`` not within ``cut`` of an earlier kept row, in order."""
+    close = _within(pts, pts, cut)
+    keep = np.ones(len(pts), dtype=bool)
+    # in order, each kept row with later rows close to it drops them
+    for i in np.flatnonzero(np.triu(close, 1).any(axis=1)).tolist():
+        if keep[i]:
+            keep[i + 1:] &= ~close[i, i + 1:]
+    return pts[keep]
 
 
 def central_center(points, tol=DEFAULT_TOL):
     """Decide central symmetry of a finite point set.
 
     The centroid of the deduplicated set is the only possible center of a
-    bounded symmetric set, so it is tested directly; a failure names a point
-    whose reflected image is missing.
+    bounded symmetric set, so it is tested directly; a failure names the
+    first point whose reflected image is missing.
     """
     pts = _points(points)
     cut = tol.threshold(np.abs(pts).max() if pts.size else 0.0)
     unique = _dedupe(pts, cut)
     c = np.mean(unique, axis=0)
-    for p in unique:
-        image = 2.0 * c - p
-        if not any(np.abs(image - q).max() <= cut for q in unique):
-            return SymmetryReport(False, None, (p.copy(), image), "missing reflected point")
+    images = 2.0 * c - unique
+    missing = ~_within(images, unique, cut).any(axis=1)
+    if missing.any():
+        i = int(missing.argmax())
+        return SymmetryReport(False, None, (unique[i], images[i]), "missing reflected point")
     return SymmetryReport(True, c, None, None)
 
 
@@ -129,21 +143,12 @@ def loop_symmetric(loop, tol=DEFAULT_TOL):
     t = count // 2
     disp = loop.displacements()
     cut = tol.threshold(np.abs(disp).max() if disp.size else 0.0)
-    for j in range(t):
-        if np.abs(disp[t + j] + disp[j]).max() > cut:
-            return SymmetryReport(
-                False,
-                None,
-                (disp[j].copy(), -disp[j]),
-                f"segment {t + j} is not the reverse of segment {j}",
-            )
-    center = (loop.segments[0, 0] + loop.segments[t, 0]) / 2.0
-    return SymmetryReport(True, center, None, None)
-
-
-def _edge_displacements(vertices):
-    m = len(vertices)
-    return [vertices[(i + 1) % m] - vertices[i] for i in range(m)]
+    unpaired = np.abs(disp[t:] + disp[:t]).max(axis=1) > cut
+    if unpaired.any():
+        j = int(unpaired.argmax())
+        reason = f"segment {t + j} is not the reverse of segment {j}"
+        return SymmetryReport(False, None, (disp[j], -disp[j]), reason)
+    return SymmetryReport(True, (loop.segments[0, 0] + loop.segments[t, 0]) / 2.0, None, None)
 
 
 def zonogon_recognize(vertices, tol=DEFAULT_TOL):
@@ -160,22 +165,18 @@ def zonogon_recognize(vertices, tol=DEFAULT_TOL):
     m = pts.shape[0]
     if m < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    edges = _edge_displacements(list(pts))
+    edges = np.concatenate([pts[1:], pts[:1]]) - pts
+    # one norm per edge: a norm along an axis can round differently
     scale = max(float(np.linalg.norm(e)) for e in edges)
-    cut = tol.threshold(scale * scale)
-    for i in range(m):
-        z = edges[i][0] * edges[(i + 1) % m][1] - edges[i][1] * edges[(i + 1) % m][0]
-        if z <= cut:
-            raise ValueError(
-                "vertices must be strictly convex and counterclockwise"
-            )
+    nxt = np.concatenate([edges[1:], edges[:1]])
+    turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    if (turns <= tol.threshold(scale * scale)).any():
+        raise ValueError("vertices must be strictly convex and counterclockwise")
     if m % 2 != 0:
         return None
     t = m // 2
-    ecut = tol.threshold(scale)
-    for j in range(t):
-        if np.abs(edges[j] + edges[j + t]).max() > ecut:
-            return None
+    if (np.abs(edges[:t] + edges[t:]).max(axis=1) > tol.threshold(scale)).any():
+        return None
     poly = [p.copy() for p in pts]
     generators = []
     while len(poly) > 2:

@@ -7,9 +7,10 @@ by lifting each generator to a height that grows steeply with its place in
 the insertion order, so it is computed here in closed form, as array code:
 the zonotope's rank census of the n-subsets (``Zonotope.rank_census``,
 shared with the faces and with validation) and the signs of their n x n
-minors give every tile and its translation. Each independent full-size
-column subset is used exactly once. Independence is decided on the
-generators scaled to unit length, as in ``Zonotope``.
+minors (``Zonotope.subset_measures``, shared with the volume) give every
+tile and its translation. Each independent full-size column subset is used
+exactly once. Independence is decided on the generators scaled to unit
+length, as in ``Zonotope``.
 
 Validation decides containment from each tile's highest corner along each
 facet normal and disjointness from each tile's cube coordinates of every
@@ -20,12 +21,14 @@ every report is bit-identical to the loop's.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .numkit import as_matrix, as_vector, column_subsets, column_sums, rank_census, subset_index, unit_columns
+from .numkit import as_matrix, as_vector, column_subsets, column_sums, rank_census, subset_index, subset_measures
+from .numkit import omit_each, unit_columns
 
 # Bytes of floats per stacked step of the tiling checks: bounds the temporaries
 # of large tilings without splitting desk-scale ones much.
@@ -119,7 +122,7 @@ def visible_surface(z, direction, tol=None):
     return [bf for bf in z.bounding_facets() if float(bf.unit_normal @ d) > cut]
 
 
-def _lifted_tiles(matrix, census, order):
+def _lifted_tiles(matrix, census, minors, order):
     """Tiles of the tiling the shelling builds when adding columns in ``order``.
 
     That tiling is the regular one got by lifting column g to height
@@ -129,21 +132,22 @@ def _lifted_tiles(matrix, census, order):
     term of the highest-placed column c of B + j whose removal leaves an
     independent subset counts, so every sign is that of an n x n minor of A.
     ``census`` is the (subsets, ranks) pair of ``numkit.rank_census`` for the
-    n-subsets; independence of B + j - c is looked up there by lexicographic
-    index. Translations sum ``matrix`` columns by place in ``order``.
+    n-subsets and ``minors`` their determinants in the same order
+    (``numkit.subset_measures``); independence of B + j - c is looked up
+    there by lexicographic index. Translations sum ``matrix`` columns by
+    place in ``order``.
     """
     n, k = matrix.shape
     combos, ranks = census
     independent = ranks == n
     tiles = combos[independent]
-    own_signs = np.sign(np.linalg.det(column_subsets(matrix, tiles)))
-    signs = np.zeros(len(combos))
-    signs[independent] = own_signs
+    signs = np.where(independent, np.sign(minors), 0.0)
+    own_signs = signs[independent]
     order = np.asarray(order, dtype=int)
     place = np.empty(k, dtype=int)
     place[order] = np.arange(k)
     # row m: the places of a tile other than m, so b[:, others[m]] is B - b_m
-    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    others = omit_each(n)
     translations = np.empty((len(tiles), n))
     for rows in _chunks(len(tiles), (k - n) * n * n):
         b = tiles[rows]
@@ -194,7 +198,7 @@ def tile_zonotope(z, order=None):
     order = [int(i) for i in order]
     if sorted(order) != list(range(z.k)):
         raise DimensionError("order must be a permutation of the generator indices")
-    return Tiling(_lifted_tiles(z.matrix, z.rank_census(z.n), order), {"order": order})
+    return Tiling(_lifted_tiles(z.matrix, z.rank_census(z.n), z.subset_measures(z.n), order), {"order": order})
 
 
 def cup_of_cubes(z_prefix, new_gen, new_index):
@@ -207,7 +211,7 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
     matrix = np.column_stack([z_prefix.matrix, g])
     local = matrix.shape[1] - 1
     census = rank_census(unit_columns(matrix), z_prefix.n, z_prefix.tol)
-    lifted = _lifted_tiles(matrix, census, list(range(local + 1)))
+    lifted = _lifted_tiles(matrix, census, subset_measures(matrix, census[0]), list(range(local + 1)))
     tiles = [
         Tile(
             tuple(sorted(new_index if c == local else c for c in t.columns)),
@@ -271,13 +275,7 @@ def validate_tiling(z, tiling, tol=None):
     combos, ranks = z.rank_census(n) if tol == z.tol else rank_census(z.directions, n, tol)
     want = set(map(tuple, combos[ranks == n].tolist()))
     got = [t.columns for t in tiling.tiles]
-    seen = set()
-    duplicates = []
-    for c in got:
-        if c in seen:
-            duplicates.append(c)
-        seen.add(c)
-    duplicates = sorted(set(duplicates))
+    duplicates = sorted(c for c, count in Counter(got).items() if count > 1)
     missing = sorted(want - set(got))
     unexpected = sorted(set(got) - want)
     census_ok = not duplicates and not missing and not unexpected
@@ -290,29 +288,33 @@ def validate_tiling(z, tiling, tol=None):
     rounding = 8.0 * (n + 2) * np.finfo(float).eps
     underflow = np.finfo(float).tiny
 
-    # Tile j's centre strictly inside tile i (in tile i's cube coordinates)
-    # breaks interior disjointness. The offset's entries are at most
-    # |centre j| + |origin i| in size.
+    # Tile j's centre strictly inside tile i breaks interior disjointness.
+    # Its cube coordinates are inv_i c_j - inv_i o_i here: one GEMM of every
+    # inverse row against every centre, less each tile's inv_i o_i. The loop
+    # takes inv_i (c_j - o_i). With |inv_i| the largest row sum of |inv_i|,
+    # each is within about (n + 2) eps |inv_i| (|c_j| + |o_i|) of the exact
+    # value (n-term dot products plus one subtraction), so they differ by a
+    # quarter of the margin, 8 (n + 2) eps |inv_i| (|c_j| + |o_i|), at most.
     eps = tol.threshold(1.0)
     tiles = len(tiling.tiles)
     gens = _tile_generators(matrix, tiling.tiles)
     origins = np.reshape([t.translation for t in tiling.tiles], (-1, n))
     centers = origins + gens.sum(axis=2) / 2.0
     inverses = np.linalg.inv(gens)
+    own = np.matmul(inverses, origins[:, :, None])
     spans = rounding * np.abs(inverses).sum(axis=2).max(axis=1, initial=0.0)
     reaches = np.abs(centers).max(axis=1, initial=0.0), np.abs(origins).max(axis=1, initial=0.0)
     disjoint_violations = []
     for rows in _chunks(tiles, tiles * n):
-        offsets = centers[None, :, :] - origins[rows, None, :]
-        coords = np.matmul(offsets, np.swapaxes(inverses[rows], 1, 2))
+        coords = (inverses[rows].reshape(-1, n) @ centers.T).reshape(len(rows), n, tiles) - own[rows]
         margin = spans[rows, None] * (reaches[0][None, :] + reaches[1][rows, None]) + underflow
-        low, high = coords.min(axis=2) - eps, (1.0 - eps) - coords.max(axis=2)
+        low, high = coords.min(axis=1) - eps, (1.0 - eps) - coords.max(axis=1)
         inside = (low > margin) & (high > margin)
         near = ~inside & ~((low < -margin) | (high < -margin))
         near[np.arange(len(rows)), rows] = False
         if near.any():
             i, j = np.nonzero(near)
-            inside[i, j] = _inside_by_products(inverses[rows[i]], offsets[i, j], eps)
+            inside[i, j] = _inside_by_products(inverses[rows[i]], centers[j] - origins[rows[i]], eps)
         inside[np.arange(len(rows)), rows] = False
         i, j = np.nonzero(inside)
         disjoint_violations.extend(zip(rows[i].tolist(), j.tolist()))

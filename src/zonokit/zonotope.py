@@ -84,10 +84,6 @@ class GeometricFacet:
     volume: float
 
 
-def _vec_close(p, q, cut):
-    return np.max(np.abs(p - q)) <= cut
-
-
 class Zonotope:
     """Zonotope given by its n x k defining matrix plus a tolerance.
 
@@ -104,18 +100,18 @@ class Zonotope:
         a = as_matrix(matrix)
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionError("a zonotope needs ambient dimension and generators")
-        cut = tol.threshold(np.abs(a).max() if a.size else 0.0)
-        keep = [j for j in range(a.shape[1]) if np.abs(a[:, j]).max() > cut]
-        self.stripped_columns = tuple(j for j in range(a.shape[1]) if j not in keep)
+        heights = np.abs(a).max(axis=0)
+        keep = heights > tol.threshold(heights.max())
+        self.stripped_columns = tuple(np.flatnonzero(~keep).tolist())
         if self.stripped_columns:
             warnings.warn(
                 f"stripped zero generators at columns {self.stripped_columns}",
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
-        if not keep:
+        if not keep.any():
             raise DegeneracyError("all generators are zero")
-        a = a[:, keep]
+        a = a[:, np.flatnonzero(keep)]
         a.setflags(write=False)
         self.matrix = a
         self.directions = numkit.unit_columns(a)
@@ -178,6 +174,22 @@ class Zonotope:
         if s not in self._censuses:
             self._censuses[s] = numkit.rank_census(self.directions, s, self.tol)
         return self._censuses[s]
+
+    @cached_property
+    def _measures(self):
+        return {}
+
+    def subset_measures(self, s):
+        """Read-only ``numkit.subset_measures`` of every s-subset, in ``rank_census`` order.
+
+        Each size is computed once and cached; volumes, the volume command's
+        census and the tiling's signs all read it.
+        """
+        if s not in self._measures:
+            table = numkit.subset_measures(self.matrix, numkit.subsets(self.k, s))
+            table.setflags(write=False)
+            self._measures[s] = table
+        return self._measures[s]
 
     def generating_faces(self, s):
         """All maximal column subsets of rank s, as GeneratingFace records.
@@ -244,14 +256,15 @@ class Zonotope:
                 RankDeficiencyWarning,
                 stacklevel=2,
             )
-            return self.m_volume(self.rank)
-        return _subset_volume(self.matrix, self.n)
+        return self.m_volume(self.rank)
 
     def m_volume(self, m):
-        """Intrinsic m-volume: sum over m-subsets of sqrt(det Gram)."""
+        """Intrinsic m-volume: sum over m-subsets of sqrt(det Gram), added left to right in subset order."""
         if m != self.rank:
             raise DimensionError(f"m_volume needs m = rank = {self.rank}, got {m}")
-        return _subset_volume(self.matrix, m)
+        table = self.subset_measures(m)
+        # cumsum adds left to right; sum may add pairwise from 8 terms
+        return float(np.abs(table).cumsum()[-1]) if table.size else 0.0
 
     def facet_volume(self, face):
         """(rank-1)-volume of the sub-zonotope on a generating facet."""
@@ -481,24 +494,13 @@ class Zonotope:
 def _facet_normals(coords, bases):
     """Cross product of each face's generating (r-1)-subset, one row per face.
 
-    Component i of every normal is one stacked determinant with row i deleted.
+    Component i of every normal is (-1)^i times the minor with row i deleted,
+    all of them one stacked determinant.
     """
     r = coords.shape[0]
-    stack = numkit.column_subsets(coords, bases)
-    normals = np.empty((len(bases), r))
-    keep = np.ones(r, dtype=bool)
-    for i in range(r):
-        keep[i] = False
-        normals[:, i] = (-1.0) ** i * np.linalg.det(stack[:, keep, :])
-        keep[i] = True
-    return normals
-
-
-def _subset_volume(matrix, m):
-    total = 0.0
-    for _, d in numkit.subset_determinants(matrix, m):
-        total += abs(d)
-    return total
+    # a C-ordered stack gives C-ordered normals, whose rows later BLAS dots read contiguously
+    minors = np.linalg.det(np.ascontiguousarray(numkit.column_subsets(coords, bases)[:, numkit.omit_each(r)]))
+    return np.where(np.arange(r) % 2 == 1, -minors, minors)
 
 
 def _face_volumes(matrix, faces, d):
@@ -506,7 +508,7 @@ def _face_volumes(matrix, faces, d):
 
     A face's volume is the sum of sqrt(det Gram) over the d-subsets of its
     columns, added one at a time in lexicographic subset order, as
-    :func:`_subset_volume` adds them; faces with equally many columns share
+    :meth:`Zonotope.volume` adds them; faces with equally many columns share
     one stacked :func:`numkit.subset_measures` call.
     """
     volumes = np.empty(len(faces))
@@ -516,8 +518,7 @@ def _face_volumes(matrix, faces, d):
         local = np.array(list(itertools.combinations(range(size), d)), dtype=int, ndmin=2)
         subsets = np.array([faces[i] for i in rows])[:, local]
         values = numkit.subset_measures(matrix, subsets.reshape(len(rows) * len(local), d))
-        # cumsum adds left to right, as the running sum in _subset_volume does;
-        # sum may add pairwise from 8 terms
+        # cumsum adds left to right; sum may add pairwise from 8 terms
         volumes[rows] = np.abs(values).reshape(len(rows), len(local)).cumsum(axis=1)[:, -1]
     return volumes
 
@@ -533,7 +534,7 @@ def signatures_match(sig1, sig2, tol=DEFAULT_TOL):
         for j, (normal2, vol2) in enumerate(sig2):
             if used[j]:
                 continue
-            if _vec_close(np.asarray(normal), np.asarray(normal2), cut) and tol.close(vol, vol2):
+            if np.max(np.abs(np.asarray(normal) - np.asarray(normal2))) <= cut and tol.close(vol, vol2):
                 used[j] = True
                 hit = True
                 break

@@ -700,3 +700,120 @@ def off_is_sphere(text):
     edges = {frozenset(e) for e in directed}
     once_each_way = len(set(directed)) == len(directed) == 2 * len(edges)
     return once_each_way and v - len(edges) + f == 2
+
+
+# -- loop references for the minor table, the stacked compound and the -------
+# -- pairwise symmetry tests ---------------------------------------------------
+#
+# One np.linalg.det per minor, one numpy call per column, and one small numpy
+# call per point pair, edge or segment, as the package computed them before it
+# took them as arrays; the array code must give exactly the same values,
+# witnesses and messages.
+
+
+def loop_minor_matrix(m, signed):
+    """compound (or signed_compound) with one np.linalg.det per (i, j) minor."""
+    a = np.asarray(m, dtype=float)
+    n = a.shape[0]
+    out = np.empty((n, n))
+    keep_r = np.ones(n, dtype=bool)
+    keep_c = np.ones(n, dtype=bool)
+    for i in range(n):
+        keep_r[i] = False
+        for j in range(n):
+            keep_c[j] = False
+            minor = np.linalg.det(a[np.ix_(keep_r, keep_c)]) if n > 1 else 1.0
+            out[i, j] = (-1.0) ** (n + i + j) * minor if signed else minor
+            keep_c[j] = True
+        keep_r[i] = True
+    return out
+
+
+def loop_stripped_columns(m, tol):
+    """Columns no entry of which exceeds the cut from the whole matrix's largest entry."""
+    a = np.asarray(m, dtype=float)
+    cut = tol.threshold(np.abs(a).max() if a.size else 0.0)
+    keep = [j for j in range(a.shape[1]) if np.abs(a[:, j]).max() > cut]
+    return tuple(j for j in range(a.shape[1]) if j not in keep)
+
+
+def loop_dedupe(pts, cut):
+    """Greedy: a point is dropped when it is within ``cut`` of an earlier kept one."""
+    unique = []
+    for p in pts:
+        if not any(np.abs(p - q).max() <= cut for q in unique):
+            unique.append(p)
+    return unique
+
+
+def loop_central_center(points, tol):
+    """central_center with one comparison per (image, point) pair."""
+    from zonokit.symmetry import SymmetryReport
+
+    pts = np.asarray(points, dtype=float)
+    cut = tol.threshold(np.abs(pts).max() if pts.size else 0.0)
+    unique = loop_dedupe(pts, cut)
+    c = np.mean(unique, axis=0)
+    for p in unique:
+        image = 2.0 * c - p
+        if not any(np.abs(image - q).max() <= cut for q in unique):
+            return SymmetryReport(False, None, (p.copy(), image), "missing reflected point")
+    return SymmetryReport(True, c, None, None)
+
+
+def loop_loop_symmetric(segments, tol):
+    """SegmentLoop's closure check, then loop_symmetric, one segment at a time.
+
+    Returns the ValueError message of an unclosed loop, else the report.
+    """
+    from zonokit.symmetry import SymmetryReport
+
+    seg = np.asarray(segments, dtype=float)
+    cut = tol.threshold(np.abs(seg).max() if seg.size else 0.0)
+    count = seg.shape[0]
+    for j in range(count):
+        gap = seg[(j + 1) % count, 0] - seg[j, 1]
+        if np.abs(gap).max() > cut:
+            return f"loop not closed between segments {j} and {(j + 1) % count}"
+    if count % 2 != 0:
+        return SymmetryReport(False, None, None, f"odd segment count {count}")
+    t = count // 2
+    disp = seg[:, 1, :] - seg[:, 0, :]
+    cut = tol.threshold(np.abs(disp).max() if disp.size else 0.0)
+    for j in range(t):
+        if np.abs(disp[t + j] + disp[j]).max() > cut:
+            return SymmetryReport(False, None, (disp[j].copy(), -disp[j]), f"segment {t + j} is not the reverse of segment {j}")
+    return SymmetryReport(True, (seg[0, 0] + seg[t, 0]) / 2.0, None, None)
+
+
+def loop_zonogon_recognize(vertices, tol):
+    """zonogon_recognize with one test per edge and per opposite edge pair.
+
+    Returns the ValueError message of a polygon that is not strictly convex
+    and counterclockwise, else the generators (or None).
+    """
+    pts = np.asarray(vertices, dtype=float)
+    m = pts.shape[0]
+    edges = [pts[(i + 1) % m] - pts[i] for i in range(m)]
+    scale = max(float(np.linalg.norm(e)) for e in edges)
+    cut = tol.threshold(scale * scale)
+    for i in range(m):
+        z = edges[i][0] * edges[(i + 1) % m][1] - edges[i][1] * edges[(i + 1) % m][0]
+        if z <= cut:
+            return "vertices must be strictly convex and counterclockwise"
+    if m % 2 != 0:
+        return None
+    t = m // 2
+    ecut = tol.threshold(scale)
+    for j in range(t):
+        if np.abs(edges[j] + edges[j + t]).max() > ecut:
+            return None
+    poly = [p.copy() for p in pts]
+    generators = []
+    while len(poly) > 2:
+        half = len(poly) // 2
+        d = poly[1] - poly[0]
+        generators.append(d)
+        poly = [poly[0]] + [poly[i] - d for i in range(2, half + 1)] + [poly[i] for i in range(half + 2, len(poly))]
+    generators.append(poly[1] - poly[0])
+    return generators

@@ -147,6 +147,24 @@ class TestVolumeCommand:
         assert "rank 2" in captured.err and "Traceback" not in captured.err
         assert "mc-volume" in captured.out
 
+    def test_one_minor_table_per_command(self, tmp_path, monkeypatch, capsys):
+        # the volume and the count of independent subsets read one table of the 5-subsets
+        p = tmp_path / "m.json"
+        write_json_matrix(p, np.random.default_rng(12).normal(size=(5, 12)))
+        measured = []
+        original = numkit.subset_measures
+
+        def counted(m, subsets):
+            measured.append(len(subsets))
+            return original(m, subsets)
+
+        for module in (numkit, tiling, zonotope):  # by-name imports too
+            if vars(module).get("subset_measures") is original:
+                monkeypatch.setattr(module, "subset_measures", counted)
+        assert cli.main(["volume", str(p)]) == 0
+        assert "792/792 subsets independent" in capsys.readouterr().out
+        assert sum(measured) == comb(12, 5) == 792
+
 
 class TestCongruentCommand:
     def test_positive_with_witness_file(self, tmp_path, capsys):

@@ -347,6 +347,23 @@ class TestCompound:
         with pytest.raises(DimensionError):
             compound(np.zeros((2, 3)))
 
+    def test_stacked_minors_equal_the_loop(self):
+        # one stacked det over all n^2 minors gives each minor's one-matrix value;
+        # n = 1 keeps its empty minor, 1 (-1 when signed)
+        rng = np.random.default_rng(1216)
+        for trial in range(120):
+            n = int(rng.integers(0, 7))
+            m = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 3 == 1 and n > 1:  # singular: one row a combination of the others
+                m[-1] = rng.normal(size=n - 1) @ m[:-1]
+            elif trial % 3 == 2:
+                m = np.round(m / max(np.abs(m).max(initial=0.0), 1e-300) * 2.0)
+            for signed, fn in ((False, compound), (True, signed_compound)):
+                got, want = fn(m), oracles.loop_minor_matrix(m, signed)
+                assert got.shape == want.shape == (n, n)
+                assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+        assert compound([[5.0]]).tolist() == [[1.0]] and signed_compound([[5.0]]).tolist() == [[-1.0]]
+
 
 class TestSignedCompound:
     def test_identity_3x3(self):

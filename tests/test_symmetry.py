@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonokit.errors import DimensionError
+from zonokit.numkit import Tolerance
 from zonokit.symmetry import (
     SegmentLoop,
+    _dedupe,
     central_center,
     cone_section,
     loop_symmetric,
@@ -16,6 +18,7 @@ from zonokit.symmetry import (
 )
 from zonokit.zonotope import Zonotope
 
+import oracles
 from fixture_matrices import hex_facet_generators
 
 A0 = hex_facet_generators()
@@ -269,3 +272,127 @@ class TestZonogonRecognize:
                 )
                 used[hit] = True
             done += 1
+
+
+def bits(x):
+    """Every float in a report field, witness or generator list as float.hex; other values as they are."""
+    if isinstance(x, np.ndarray):
+        return [v.hex() for v in x.ravel().tolist()], x.shape
+    if isinstance(x, (tuple, list)):
+        return [bits(v) for v in x]
+    return x
+
+
+def report_bits(report):
+    return [bits(getattr(report, f)) for f in ("symmetric", "center", "witness_failure", "reason")]
+
+
+def seeded_zonogon(rng, m, parallel=False):
+    """Counterclockwise vertex cycle of a zonogon with m generators, and its centre."""
+    angles = np.sort(rng.uniform(0.1, np.pi - 0.1, size=m))
+    if parallel:
+        angles[1] = angles[0]  # a collinear vertex in the middle of one edge pair
+    gens = rng.uniform(0.5, 2.0, size=(m, 1)) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    start = rng.uniform(-1.0, 1.0, size=2)
+    verts = start + np.concatenate([np.zeros((1, 2)), np.cumsum(np.concatenate([gens, -gens])[:-1], axis=0)])
+    return verts, start + gens.sum(axis=0) / 2.0
+
+
+def point_set_inputs():
+    """Seeded point sets: plain, with duplicates within the cut, symmetric, and symmetric bent by 1e-3 and 1e-12."""
+    rng = np.random.default_rng(1212)
+    for trial in range(160):
+        m, d = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        base = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4)
+        kind = trial % 5
+        if kind == 1:  # repeats, exact and within the cut, shuffled in
+            copies = base[rng.integers(m, size=int(rng.integers(1, 6)))]
+            copies = copies + rng.choice([0.0, 1e-12, 1e-10]) * rng.normal(size=copies.shape)
+            base = np.concatenate([base, copies])[rng.permutation(m + len(copies))]
+        elif kind >= 2:
+            c = rng.normal(size=d)
+            base = np.concatenate([base, 2.0 * c - base])[rng.permutation(2 * m)]
+            if kind >= 3:
+                base[int(rng.integers(2 * m))] += (1e-3 if kind == 3 else 1e-12) * rng.normal(size=d)
+        yield base, Tolerance(rel=1e-6) if trial % 7 == 6 else Tolerance()
+    for m in (3, 4, 5, 6, 8):
+        verts, _ = seeded_zonogon(rng, m, parallel=m in (4, 6))
+        yield verts, Tolerance()
+        yield np.concatenate([verts, verts[:2] + 1e-11]), Tolerance()
+    yield Zonotope(A0).vertices(), Tolerance()
+    yield GREEDY_CHAIN, Tolerance()
+
+
+# each point within the cut (about 2e-9) of the next, the first and the last not:
+# the greedy rule keeps the first, drops the second, and keeps the third
+GREEDY_CHAIN = np.array([[1.0, 0.0], [1.0 + 1.5e-9, 0.0], [1.0 + 3e-9, 0.0], [-1.0, 0.0]])
+
+
+def polygon_inputs():
+    """Seeded polygons: zonogons (some with collinear vertices), bent ones, odd and clockwise ones."""
+    rng = np.random.default_rng(1213)
+    for trial in range(120):
+        m = int(rng.integers(2, 8))
+        verts, center = seeded_zonogon(rng, m, parallel=trial % 4 == 1 and m >= 2)
+        kind = trial % 6
+        if kind == 2:
+            verts[int(rng.integers(len(verts)))] += 1e-3 * rng.normal(size=2)
+        elif kind == 3:
+            verts[1] += 1e-12 * (verts[1] - center)
+        elif kind == 4:
+            verts = verts[::-1]
+        elif kind == 5:
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=int(rng.integers(3, 10))))
+            verts = np.stack([np.cos(t), np.sin(t)], axis=1) * rng.uniform(0.5, 2.0)
+        yield verts, Tolerance(rel=1e-6) if trial % 9 == 8 else Tolerance()
+
+
+def loop_inputs():
+    """Seeded segment loops: closed polygons and the same with one joint opened by 1e-3 or 1e-12."""
+    rng = np.random.default_rng(1214)
+    for verts, tol in polygon_inputs():
+        segs = np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
+        yield segs, tol
+        opened = segs.copy()
+        opened[int(rng.integers(len(segs))), 1] += rng.choice([1e-3, 1e-12]) * rng.normal(size=2)
+        yield opened, tol
+    for count, d in ((1, 2), (3, 3), (6, 1)):
+        pts = rng.normal(size=(count, d))
+        yield np.stack([pts, np.roll(pts, -1, axis=0)], axis=1), Tolerance()
+
+
+class TestAgainstLoopReferences:
+    """The pairwise array tests give exactly the reports, witnesses, messages and generators of the loops."""
+
+    def test_dedupe_is_greedy(self):
+        cut = Tolerance().threshold(1.0)
+        kept = _dedupe(GREEDY_CHAIN, cut)
+        assert bits(kept) == bits(np.array(oracles.loop_dedupe(GREEDY_CHAIN, cut)))
+        assert len(kept) == 3
+
+    def test_central_center(self):
+        for pts, tol in point_set_inputs():
+            assert report_bits(central_center(pts, tol)) == report_bits(oracles.loop_central_center(pts, tol))
+
+    def test_loops(self):
+        for segs, tol in loop_inputs():
+            want = oracles.loop_loop_symmetric(segs, tol)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    SegmentLoop(segs, tol)
+                assert str(err.value) == want
+            else:
+                assert report_bits(loop_symmetric(SegmentLoop(segs, tol), tol)) == report_bits(want)
+
+    def test_zonogon_recognize(self):
+        outcomes = set()
+        for verts, tol in polygon_inputs():
+            want = oracles.loop_zonogon_recognize(verts, tol)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    zonogon_recognize(verts, tol)
+                assert str(err.value) == want
+            else:
+                assert bits(zonogon_recognize(verts, tol)) == bits(want)
+            outcomes.add(type(want).__name__)
+        assert outcomes == {"str", "NoneType", "list"}

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,57 @@ class TestMVolume:
     def test_wrong_m_rejected(self):
         with pytest.raises(DimensionError):
             Zonotope(A0).m_volume(2)
+
+
+def minor_table_inputs():
+    """Seeded matrices: full rank, rank-deficient, k < n, n = 1, and with zero or tiny columns."""
+    rng = np.random.default_rng(1215)
+    for trial in range(80):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+        a = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4)
+        kind = trial % 4
+        if kind == 1 and n > 1:  # columns in a subspace of lower dimension
+            a = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, k))
+        elif kind == 2 and k > 1:
+            a[:, rng.choice(k, size=int(rng.integers(1, k)), replace=False)] *= rng.choice([0.0, 1e-10, 1e-8])
+        elif kind == 3:
+            a = np.round(a / np.abs(a).max() * 3.0)  # integer entries, ties and dependent subsets
+            a[0, ~a.any(axis=0)] = 1.0
+        yield a
+    yield np.zeros((2, 3))
+    yield np.array([[1.0, Tolerance().threshold(1.0), 0.5], [0.0, 0.0, 1.0]])  # a column exactly at the cut
+
+
+class TestMinorTable:
+    """The cached minor table gives the volume, summed exactly as the per-subset loop adds it."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    def test_volumes_equal_the_loop_sum(self):
+        for a in minor_table_inputs():
+            if not np.abs(a).max(axis=0).any():
+                continue
+            z = Zonotope(a)
+            want = oracles._loop_subset_volume(z.matrix, z.rank)
+            assert z.volume().hex() == want.hex()
+            assert z.m_volume(z.rank).hex() == want.hex()
+            table = z.subset_measures(z.rank)
+            loop = [d.hex() for _, d in oracles.loop_subset_determinants(z.matrix, z.rank)]
+            assert [x.hex() for x in table.tolist()] == loop
+            assert z.subset_measures(z.rank) is table and not table.flags.writeable
+
+    def test_stripped_columns_equal_the_loop(self):
+        for a in minor_table_inputs():
+            want = oracles.loop_stripped_columns(a, Tolerance())
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if len(want) == a.shape[1]:
+                    with pytest.raises(DegeneracyError):
+                        Zonotope(a)
+                    continue
+                z = Zonotope(a)
+            assert z.stripped_columns == want
+            assert [str(w.message) for w in caught] == ([f"stripped zero generators at columns {want}"] if want else [])
+            assert np.array_equal(z.matrix, a[:, [j for j in range(a.shape[1]) if j not in want]])
 
 
 class TestFacetVolume:
