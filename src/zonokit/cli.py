@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -162,6 +163,29 @@ def _write_json(payload, path):
         fh.write(text)
 
 
+def _tiling_json(payload):
+    """``json.dumps(payload, indent=2)`` of a ``Tiling.to_dict`` payload with tiles, byte for byte.
+
+    The indenting encoder is pure Python; the tiles, most of the payload, go
+    through one compact C-encoded ``[[columns, translation], ...]`` string
+    instead, indented by three replacements. That is safe because the only
+    tokens in it are numbers, which never contain "[", "]" or ", ": every
+    "]], [[" parts two tiles, every "], [" a tile's columns from its
+    translation, and every ", " two numbers of one list.
+    """
+    compact = json.dumps([[t["columns"], t["translation"]] for t in payload["tiles"]])
+    body = (
+        compact[3:-3]
+        .replace("]], [[", '\n      ]\n    },\n    {\n      "columns": [\n        ')
+        .replace("], [", '\n      ],\n      "translation": [\n        ')
+        .replace(", ", ",\n        ")
+    )
+    block = '[\n    {\n      "columns": [\n        ' + body + "\n      ]\n    }\n  ]"
+    # the top-level key is the only one indented by two spaces
+    text = json.dumps({**payload, "tiles": None}, indent=2)
+    return text.replace('\n  "tiles": null', '\n  "tiles": ' + block, 1)
+
+
 def _fmt(x):
     return f"{x:.12g}"
 
@@ -182,19 +206,24 @@ def cmd_volume(args, cfg):
     if z.rank < z.n:
         print(f"warning: rank {z.rank} < dimension {z.n}; reporting the {z.rank}-volume", file=sys.stderr)
     print(f"rank {z.rank}, volume {_fmt(vol)}, {indep}/{total} subsets independent")
-    if args.mc_samples:
+    if args.mc_samples and z.rank < z.n:
+        # a body of lower rank has n-volume 0; sampling would only count the slack around it
+        print(f"mc-volume 0 (rank {z.rank} < dimension {z.n}, no samples drawn)")
+    elif args.mc_samples:
         est = _mc_volume(z, args.mc_samples, cfg.seed)
         print(f"mc-volume {_fmt(est)} ({args.mc_samples} samples)")
     return EXIT_OK
 
 
 def _mc_volume(z, samples, seed):
-    """Monte Carlo membership estimate inside the axis-aligned bounding box."""
+    """Monte Carlo membership estimate of a full-rank zonotope inside its axis-aligned bounding box."""
     lo = np.minimum(z.matrix, 0.0).sum(axis=1)
     hi = np.maximum(z.matrix, 0.0).sum(axis=1)
     box = float(np.prod(hi - lo))
-    normals = np.array([bf.unit_normal for bf in z.bounding_facets()])
-    offsets = np.array([bf.support for bf in z.bounding_facets()])
+    if z.n == 1:
+        return box  # a segment is its own bounding box and has no facets
+    table = z._bounding_facets
+    normals, offsets = table.units, table.supports
     slack = z.tol.threshold(float(np.abs(offsets).max()))
     rng = np.random.default_rng(seed)
     hits = 0
@@ -257,7 +286,8 @@ def cmd_tile(args, cfg):
         "expected_volume": report.expected_volume,
     }
     out = cfg.out or "tiling.json"
-    _write_json(payload, out)
+    with open(out, "w") as fh:
+        fh.write(_tiling_json(payload) + "\n")
     print(f"{len(til.tiles)} tiles, volume {_fmt(report.volume_sum)}, validation {'pass' if report.ok else 'FAIL'}")
     if not report.ok:
         return EXIT_NEGATIVE
@@ -320,16 +350,16 @@ def off_mesh(z):
     """
     verts = np.array(z.vertices())
     index = {s: i for i, s in enumerate(z.vertex_sign_vectors())}
-    facets = z.geometric_facets()
+    table = z._bounding_facets
+    order = z._geometric_facets
     polygons, frames = [], []
-    for f in facets:
-        (bf,) = f.constituents
-        cycle, frame = z._cycles[bf.generating.columns]
-        side = frozenset(bf.translation_set)
+    for row, sides in zip(order.tolist(), table.sides[order].tolist()):
+        cycle, frame = z._cycles[table.faces[row // 2].columns]
+        side = frozenset(itertools.compress(range(z.k), sides))
         polygons.append([index[side | v] for v in cycle])
         frames.append(frame)
     frames = np.array(frames)
-    units = np.array([f.unit_normal for f in facets])
+    units = table.units[order]
     reverse = np.sum(np.cross(frames[:, 0], frames[:, 1]) * units, axis=1) < 0.0
     polygons = [p[::-1] if r else p for p, r in zip(polygons, reverse.tolist())]
     _check_sphere(len(verts), polygons)
@@ -356,7 +386,7 @@ def off_mesh(z):
         starts = np.where(lowest, ring, len(verts)).argmin(axis=1)
         for i, start in zip(rows.tolist(), starts.tolist()):
             polygons[i] = polygons[i][start:] + polygons[i][:start]
-    lines = ["OFF", f"{len(verts)} {len(facets)} 0"]
+    lines = ["OFF", f"{len(verts)} {len(polygons)} 0"]
     lines.extend(" ".join(_fmt(x) for x in v) for v in verts)
     lines.extend(" ".join(map(str, [len(p)] + p)) for p in polygons)
     return "\n".join(lines) + "\n"

@@ -57,20 +57,18 @@ class Tiling:
 
     def to_dict(self, matrix):
         matrix = as_matrix(matrix)
+        n = matrix.shape[0]
         return {
             "format_version": 1,
             "matrix": {
                 "rows": matrix.shape[0],
                 "cols": matrix.shape[1],
-                "data": [float(x) for x in matrix.ravel()],
+                "data": matrix.ravel().tolist(),
             },
             "order": [int(i) for i in self.source.get("order", [])],
             "tiles": [
-                {
-                    "columns": [int(c) for c in t.columns],
-                    "translation": [float(x) for x in t.translation],
-                }
-                for t in self.tiles
+                {"columns": c, "translation": t}
+                for c, t in zip(_tile_columns(self.tiles, n).tolist(), _tile_origins(self.tiles, n).tolist())
             ],
         }
 
@@ -226,7 +224,17 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
 
 def _tile_generators(matrix, tiles):
     """(T, n, n) stack of each tile's generator matrix."""
-    return column_subsets(matrix, np.reshape([t.columns for t in tiles], (len(tiles), matrix.shape[0])))
+    return column_subsets(matrix, _tile_columns(tiles, matrix.shape[0]))
+
+
+def _tile_columns(tiles, n):
+    """(T, n) int array of each tile's columns."""
+    return np.asarray([t.columns for t in tiles], dtype=int).reshape(len(tiles), n)
+
+
+def _tile_origins(tiles, n):
+    """(T, n) float array of each tile's translation."""
+    return np.asarray([t.translation for t in tiles], dtype=float).reshape(len(tiles), n)
 
 
 def _chunks(count, row_floats):
@@ -297,8 +305,9 @@ def validate_tiling(z, tiling, tol=None):
     # quarter of the margin, 8 (n + 2) eps |inv_i| (|c_j| + |o_i|), at most.
     eps = tol.threshold(1.0)
     tiles = len(tiling.tiles)
-    gens = _tile_generators(matrix, tiling.tiles)
-    origins = np.reshape([t.translation for t in tiling.tiles], (-1, n))
+    columns = _tile_columns(tiling.tiles, n)
+    gens = column_subsets(matrix, columns)
+    origins = _tile_origins(tiling.tiles, n)
     centers = origins + gens.sum(axis=2) / 2.0
     inverses = np.linalg.inv(gens)
     own = np.matmul(inverses, origins[:, :, None])
@@ -327,9 +336,8 @@ def validate_tiling(z, tiling, tol=None):
         lo, hi = np.minimum(matrix, 0.0).sum(axis=1), np.maximum(matrix, 0.0).sum(axis=1)
         supports = np.concatenate([-lo, hi])
     else:
-        facets = z.bounding_facets()
-        units = np.reshape([bf.unit_normal for bf in facets], (-1, n))
-        supports = np.array([bf.support for bf in facets])
+        table = z._bounding_facets
+        units, supports = table.units, table.supports
     max_h = float(np.abs(supports).max(initial=0.0))
     slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
     bounds = supports[:, None] + slack
@@ -337,7 +345,7 @@ def validate_tiling(z, tiling, tol=None):
     # columns c, and every corner's height has terms of at most
     # |u|.(|o| + sum of |a_c|) in size.
     indicator = np.zeros((tiles, z.k))
-    np.put_along_axis(indicator, np.reshape(got, (tiles, n)), 1.0, axis=1)
+    np.put_along_axis(indicator, columns, 1.0, axis=1)
     rises = np.maximum(units @ matrix, 0.0).T
     sizes = np.abs(origins) + indicator @ np.abs(matrix).T
     containment_violations = []

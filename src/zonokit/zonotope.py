@@ -9,7 +9,11 @@ set, a vertex A 1_S by its sign vector S. Every rank decision on a column
 subset is made on the generators scaled to unit length, so it sees
 directions only; face closures read one cached rank census per subset
 size. Each closed (rank-1)-dimensional generating face gives exactly one
-opposite pair of facets. Vertices are enumerated over the same
+opposite pair of facets. The facet table (:class:`FacetTable`) holds every
+facet side's normal, translation set, translation and support as stacked
+arrays; the ``BoundingFacet`` and ``GeometricFacet`` records, which add
+translation-set tuples and facet volumes, are built from it only on
+request. Vertices are enumerated over the same
 closed faces: every vertex is a vertex of a facet plus that facet's
 translation set. A closed 2-face is a zonogon whose vertex cycle comes from
 one angular sort of its parallel classes, a closed face of higher rank
@@ -44,6 +48,22 @@ class GeneratingFace:
 
     columns: tuple
     dim: int
+
+
+@dataclass(frozen=True, eq=False)
+class FacetTable:
+    """Every bounding facet side as read-only stacked arrays, one row per side.
+
+    Rows 2i and 2i + 1 are the minus and plus sides of closed face
+    ``faces[i]``: their outward ``units``, ``sides`` (a (2F, k) mask of the
+    translation set), ``translations`` and ``supports``.
+    """
+
+    faces: tuple
+    units: np.ndarray
+    sides: np.ndarray
+    translations: np.ndarray
+    supports: np.ndarray
 
 
 @dataclass(eq=False)
@@ -287,11 +307,12 @@ class Zonotope:
 
     @cached_property
     def _bounding_facets(self):
+        """The facet table: every bounding facet side as stacked arrays (:class:`FacetTable`)."""
         if self.rank < 2:
             raise DegeneracyError("bounding facets need rank >= 2")
         basis = self._column_space_basis
         coords = self.matrix if basis is None else basis.T @ self.matrix
-        faces = self.generating_faces(self.rank - 1)
+        faces = tuple(self.generating_faces(self.rank - 1))
         bases = self._face_cache[self.rank - 1][1]
         # One row per face. A matmul on (.., m, 1) or (.., 1, m) stacks makes
         # one BLAS matrix-vector or dot call per row, as a loop over the faces
@@ -303,28 +324,38 @@ class Zonotope:
         references = numkit.sign_normalize(normals / lengths[:, None], self.tol)
         proj = np.matmul(self.matrix.T, references[:, :, None])[:, :, 0]
         k = self.k
+        sizes = [len(face.columns) for face in faces]
+        members = np.fromiter(itertools.chain.from_iterable(face.columns for face in faces), int, sum(sizes))
         outside = np.ones((len(faces), k), dtype=bool)
-        for i, face in enumerate(faces):
-            outside[i, face.columns] = False
+        outside[np.repeat(np.arange(len(faces)), sizes), members] = False
         # minus then plus side of each face
         sides = np.stack([outside & (proj < 0.0), outside & (proj >= 0.0)], axis=1).reshape(-1, k)
         units = np.stack([-references, references], axis=1).reshape(-1, self.n)
-        tsets = [tuple(itertools.compress(range(k), row)) for row in sides.tolist()]
         translations = numkit.column_sums(self.matrix, np.arange(k), sides)
-        supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0].tolist()
-        volumes = _face_volumes(self.matrix, [face.columns for face in faces], self.rank - 1).tolist()
+        supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0]
+        for array in (units, sides, translations, supports):
+            array.setflags(write=False)
+        return FacetTable(faces, units, sides, translations, supports)
+
+    @cached_property
+    def _facet_records(self):
+        """The facet table as BoundingFacet records, with translation sets and facet volumes."""
+        table = self._bounding_facets
+        tsets = [tuple(itertools.compress(range(self.k), row)) for row in table.sides.tolist()]
+        supports = table.supports.tolist()
+        volumes = _face_volumes(self.matrix, [face.columns for face in table.faces], self.rank - 1).tolist()
         facets = []
-        for i, face in enumerate(faces):
+        for i, face in enumerate(table.faces):
             neg, pos = tsets[2 * i], tsets[2 * i + 1]
             for j, side in ((2 * i, "minus"), (2 * i + 1, "plus")):
                 facets.append(
                     BoundingFacet(
                         generating=face,
-                        unit_normal=units[j],
+                        unit_normal=table.units[j],
                         negative_set=neg,
                         positive_set=pos,
                         side=side,
-                        translation=translations[j],
+                        translation=table.translations[j],
                         volume=volumes[i],
                         support=supports[j],
                     )
@@ -332,28 +363,36 @@ class Zonotope:
         return facets
 
     def bounding_facets(self):
-        return list(self._bounding_facets)
+        return list(self._facet_records)
 
     @cached_property
     def _geometric_facets(self):
-        out = [
-            GeometricFacet(
-                constituents=[bf],
-                unit_normal=bf.unit_normal.copy(),
-                support=bf.support,
-                volume=float(bf.volume),
-            )
-            for bf in self._bounding_facets
-        ]
+        """Facet-table rows in geometric-facet order, a read-only index array."""
+        table = self._bounding_facets
         # lexsort's last key is the primary one: normal coordinates in order,
-        # then the support; it is stable, so ties keep facet-table order
-        normals = np.round([f.unit_normal for f in out], 9).reshape(len(out), self.n)
-        supports = [round(f.support, 9) for f in out]
-        order = np.lexsort([supports, *normals.T[::-1]])
-        return [out[i] for i in order.tolist()]
+        # then the support; it is stable, so ties keep facet-table order.
+        # Python's round, not np.round, which can differ in the last place.
+        supports = [round(s, 9) for s in table.supports.tolist()]
+        order = np.lexsort([supports, *np.round(table.units, 9).T[::-1]])
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def _geometric_records(self):
+        """GeometricFacet records, one per bounding facet record, in ``_geometric_facets`` order."""
+        records = self._facet_records
+        return [
+            GeometricFacet(
+                constituents=[records[i]],
+                unit_normal=records[i].unit_normal.copy(),
+                support=records[i].support,
+                volume=float(records[i].volume),
+            )
+            for i in self._geometric_facets.tolist()
+        ]
 
     def geometric_facets(self):
-        return list(self._geometric_facets)
+        return list(self._geometric_records)
 
     def facet_signature(self):
         """Canonical multiset of (sign-normalized unit normal, facet volume).
@@ -361,7 +400,7 @@ class Zonotope:
         One entry per opposite facet pair, that is per "plus" bounding facet,
         whose normal is already sign-normalized; ordered lexicographically.
         """
-        entries = [(tuple(bf.unit_normal), bf.volume) for bf in self._bounding_facets if bf.side == "plus"]
+        entries = [(tuple(bf.unit_normal), bf.volume) for bf in self._facet_records if bf.side == "plus"]
         entries.sort(key=lambda e: (tuple(round(x, 9) for x in e[0]), round(e[1], 9)))
         return tuple(entries)
 
@@ -387,10 +426,11 @@ class Zonotope:
         if (flat, s) in memo:
             return memo[flat, s]
         if s == self.rank == self.n >= 2:
+            table = self._bounding_facets
             signs = {
-                frozenset(bf.translation_set) | v
-                for bf in self._bounding_facets
-                for v in self._flat_sign_vectors(bf.generating.columns, s - 1, memo)
+                frozenset(itertools.compress(flat, row)) | v
+                for i, row in enumerate(table.sides.tolist())
+                for v in self._flat_sign_vectors(table.faces[i // 2].columns, s - 1, memo)
             }
         elif s == 2 < self.rank:
             signs = set(self._cycles[flat][0])

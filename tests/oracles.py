@@ -626,7 +626,7 @@ def _labelled_sign_vectors(z, labels, memo):
     if z.rank == 2:
         return _zonogon_sign_vectors(z, labels)
     signs = set()
-    for bf in z._bounding_facets:
+    for bf in z.bounding_facets():
         face = tuple(labels[j] for j in bf.generating.columns)
         if face not in memo:
             sub = Zonotope(z.matrix[:, bf.generating.columns], z.tol)

@@ -165,6 +165,25 @@ class TestVolumeCommand:
         assert "792/792 subsets independent" in capsys.readouterr().out
         assert sum(measured) == comb(12, 5) == 792
 
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2, 3], [2, 4, 6]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]], ids=["rank1-in-R2", "rank2-in-R3"]
+    )
+    def test_monte_carlo_rank_deficient_is_zero(self, rows, tmp_path, monkeypatch, capsys):
+        # a body of lower rank has no n-volume: no samples are drawn and no facets read
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, rows)
+        monkeypatch.setattr(cli, "_mc_volume", None)
+        assert cli.main(["volume", str(p), "--mc-samples", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "mc-volume 0 (rank " in out and "no samples drawn" in out
+
+    def test_monte_carlo_segment(self, tmp_path, capsys):
+        # a one-row matrix is its own bounding box
+        p = tmp_path / "m.txt"
+        p.write_text("1 2 -0.5\n")
+        assert cli.main(["volume", str(p), "--mc-samples", "100"]) == 0
+        assert "mc-volume 3.5 (100 samples)" in capsys.readouterr().out
+
 
 class TestCongruentCommand:
     def test_positive_with_witness_file(self, tmp_path, capsys):
@@ -298,6 +317,88 @@ class TestTileCommand:
         assert cli.main(["tile", str(p), "--out", str(out)]) == 0
         assert "3 tiles, volume 3.5, validation pass" in capsys.readouterr().out
         assert json.loads(out.read_text())["validation"]["containment_ok"]
+
+
+class TestTileJson:
+    """The tile file is ``json.dumps(payload, indent=2)`` plus a newline, byte for byte."""
+
+    def test_matches_the_indenting_encoder(self):
+        rng = np.random.default_rng(131)
+        checked = 0
+        for n in range(1, 6):
+            for k in range(n, n + 5):
+                for kind in ("gauss", "int") * 3:
+                    a = rng.normal(size=(n, k)) if kind == "gauss" else rng.integers(-3, 4, size=(n, k)).astype(float)
+                    if not np.abs(a).max(axis=0).all() or np.linalg.matrix_rank(a) < n:
+                        continue
+                    z = Zonotope(a)
+                    til = tiling.tile_zonotope(z)
+                    report = tiling.validate_tiling(z, til)
+                    payload = til.to_dict(z.matrix)
+                    payload["validation"] = {"ok": report.ok, "volume_sum": report.volume_sum}
+                    assert cli._tiling_json(payload) == json.dumps(payload, indent=2)
+                    checked += 1
+        assert checked >= 120
+
+    def test_tile_file(self, tmp_path):
+        rng = np.random.default_rng(132)
+        p, out = tmp_path / "m.json", tmp_path / "t.json"
+        for n in range(1, 6):
+            write_json_matrix(p, rng.normal(size=(n, n + 3)))
+            assert cli.main(["tile", str(p), "--out", str(out)]) == 0
+            text = out.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestFacetRecordsOnRequest:
+    """tile and mesh read the facet table, never the BoundingFacet or GeometricFacet records."""
+
+    def count(self, monkeypatch):
+        counts = {"records": 0, "volumes": 0}
+        for cls in (zonotope.BoundingFacet, zonotope.GeometricFacet):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                counts["records"] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        face_volumes = zonotope._face_volumes
+
+        def counted_volumes(*args):
+            counts["volumes"] += 1
+            return face_volumes(*args)
+
+        monkeypatch.setattr(zonotope, "_face_volumes", counted_volumes)
+        return counts
+
+    def test_tile(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "m.json"
+        write_json_matrix(p, np.random.default_rng(133).normal(size=(5, 9)))
+        counts = self.count(monkeypatch)
+        assert cli.main(["tile", str(p), "--out", str(tmp_path / "t.json")]) == 0
+        assert "126 tiles" in capsys.readouterr().out
+        assert counts == {"records": 0, "volumes": 0}
+
+    def test_mesh(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.json"
+        write_json_matrix(p, np.random.default_rng(134).normal(size=(3, 7)))
+        counts = self.count(monkeypatch)
+        assert cli.main(["mesh", str(p), "--out", str(tmp_path / "m.off")]) == 0
+        assert counts["records"] == 0
+
+    def test_records_match_the_table(self):
+        z = Zonotope(np.random.default_rng(135).normal(size=(4, 7)))
+        table = z._bounding_facets
+        records = z.bounding_facets()
+        assert len(records) == len(table.units) == 2 * len(table.faces)
+        for row, bf in enumerate(records):
+            assert bf.generating is table.faces[row // 2]
+            assert np.array_equal(bf.unit_normal, table.units[row])
+            assert bf.translation_set == tuple(np.flatnonzero(table.sides[row]).tolist())
+            assert bf.support == table.supports[row]
+        assert [f.constituents[0] for f in z.geometric_facets()] == [records[i] for i in z._geometric_facets]
+        assert all(a is b for a, b in zip(z.geometric_facets(), z.geometric_facets()))
 
 
 class TestRootCommand:

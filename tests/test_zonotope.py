@@ -242,7 +242,7 @@ class TestGeometricFacets:
             k = int(rng.integers(3, 10))
             z = random_zonotope(rng, 3, k) if trial % 2 else Zonotope(rng.normal(size=(3, k)))
             want = sorted(
-                z._bounding_facets, key=lambda bf: (tuple(np.round(bf.unit_normal, 9)), round(bf.support, 9))
+                z.bounding_facets(), key=lambda bf: (tuple(np.round(bf.unit_normal, 9)), round(bf.support, 9))
             )
             assert [f.constituents[0] for f in z.geometric_facets()] == want
 
