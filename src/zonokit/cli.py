@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -327,7 +326,7 @@ def cmd_mesh(args, cfg):
     out = cfg.out or "mesh.off"
     with open(out, "w") as fh:
         fh.write(text)
-    verts, faces = text.splitlines()[1].split()[:2]
+    verts, faces = text.split("\n", 2)[1].split()[:2]
     print(f"wrote {out}: {verts} vertices, {faces} faces")
     return EXIT_OK
 
@@ -341,28 +340,31 @@ def off_mesh(z):
 
     Each facet's polygon is the vertex cycle of its closed 2-face
     (``Zonotope._cycles``) joined with the facet's translation set, reversed
-    when the cycle's frame normal e1 x e2 opposes the outward normal. It
-    starts at the vertex with the smallest angle atan2(. b2, . b1) about the
-    centroid of its vertices, b1 being the coordinate axis least aligned
-    with the normal u made orthogonal to u and b2 = u x b1. Raises
-    :class:`MeshSurfaceError` unless every edge lies in exactly two
-    polygons, once in each direction, and V - E + F = 2.
+    when the cycle's frame normal e1 x e2 opposes the outward normal; all
+    polygons are one array of sign masks, matched to the vertices' masks by
+    one sorted search. A polygon starts at the vertex with the smallest
+    angle atan2(. b2, . b1) about the centroid of its vertices, b1 being the
+    coordinate axis least aligned with the normal u made orthogonal to u and
+    b2 = u x b1. Raises :class:`MeshSurfaceError` unless every edge lies in
+    exactly two polygons, once in each direction, and V - E + F = 2.
     """
-    verts = np.array(z.vertices())
-    index = {s: i for i, s in enumerate(z.vertex_sign_vectors())}
+    verts, masks = z._vertices["point"], z._vertices["mask"]
     table = z._bounding_facets
     order = z._geometric_facets
-    polygons, frames = [], []
-    for row, sides in zip(order.tolist(), table.sides[order].tolist()):
-        cycle, frame = z._cycles[table.faces[row // 2].columns]
-        side = frozenset(itertools.compress(range(z.k), sides))
-        polygons.append([index[side | v] for v in cycle])
-        frames.append(frame)
-    frames = np.array(frames)
+    cycles = [z._cycles[table.faces[row // 2].columns] for row in order.tolist()]
+    frames = np.array([frame for _, frame in cycles])
     units = table.units[order]
     reverse = np.sum(np.cross(frames[:, 0], frames[:, 1]) * units, axis=1) < 0.0
-    polygons = [p[::-1] if r else p for p, r in zip(polygons, reverse.tolist())]
-    _check_sphere(len(verts), polygons)
+    sizes = np.array([len(ring) for ring, _ in cycles])
+    starts = np.cumsum(sizes) - sizes
+    signs = np.concatenate([ring[::-1] if r else ring for (ring, _), r in zip(cycles, reverse.tolist())])
+    signs |= np.repeat(table.masks[order], sizes)
+    by_mask = np.argsort(masks)
+    polygons = by_mask[np.searchsorted(masks, signs, sorter=by_mask)]
+    # each polygon vertex's successor, the last one's being the polygon's first
+    first = np.repeat(starts, sizes)
+    following = polygons[first + (np.arange(len(polygons)) - first + 1) % np.repeat(sizes, sizes)]
+    _check_sphere(len(verts), len(sizes), polygons, following)
     # b1, b2 and each polygon's centroid over its vertices in ascending index
     # order, as one (.., 1, 3) @ (.., 3, 1) matmul stack: one dot per row, the
     # same values as one facet at a time
@@ -372,10 +374,10 @@ def off_mesh(z):
     b1 = b1 - units * _rowdot(units, b1)[:, None]
     b1 = b1 / np.sqrt(_rowdot(b1, b1))[:, None]
     b2 = np.cross(units, b1)
-    sizes = np.array([len(p) for p in polygons])
     for size in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == size)
-        ring = np.array([polygons[i] for i in rows.tolist()])
+        slots = starts[rows, None] + np.arange(size)
+        ring = polygons[slots]
         centroids = verts[np.sort(ring, axis=1)].mean(axis=1)
         offsets = verts[ring] - centroids[:, None, :]
         ys = np.matmul(offsets[:, :, None, :], b2[rows, None, :, None]).ravel().tolist()
@@ -383,13 +385,14 @@ def off_mesh(z):
         keys = np.reshape(list(map(math.atan2, ys, xs)), ring.shape)
         # the smallest key, ties to the smallest vertex index
         lowest = keys == keys.min(axis=1, keepdims=True)
-        starts = np.where(lowest, ring, len(verts)).argmin(axis=1)
-        for i, start in zip(rows.tolist(), starts.tolist()):
-            polygons[i] = polygons[i][start:] + polygons[i][:start]
-    lines = ["OFF", f"{len(verts)} {len(polygons)} 0"]
-    lines.extend(" ".join(_fmt(x) for x in v) for v in verts)
-    lines.extend(" ".join(map(str, [len(p)] + p)) for p in polygons)
-    return "\n".join(lines) + "\n"
+        begin = np.where(lowest, ring, len(verts)).argmin(axis=1)
+        polygons[slots] = np.take_along_axis(ring, (begin[:, None] + np.arange(size)) % size, axis=1)
+    lines = {size: str(size) + " %d" * size + "\n" for size in np.unique(sizes).tolist()}
+    return (
+        f"OFF\n{len(verts)} {len(sizes)} 0\n"
+        + "%.12g %.12g %.12g\n" * len(verts) % tuple(verts.ravel().tolist())
+        + "".join(map(lines.__getitem__, sizes.tolist())) % tuple(polygons.tolist())
+    )
 
 
 def _rowdot(a, b):
@@ -397,13 +400,13 @@ def _rowdot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _check_sphere(vertices, polygons):
-    """Raise MeshSurfaceError unless the polygons close into a sphere."""
-    edges = [e for p in polygons for e in zip(p, p[1:] + p[:1])]
-    undirected = {frozenset(e) for e in edges}
-    euler = vertices - len(undirected) + len(polygons)
+def _check_sphere(vertices, faces, tails, heads):
+    """Raise MeshSurfaceError unless the directed edges tails -> heads of the polygons close into a sphere."""
+    directed = len(np.unique(tails * vertices + heads))
+    undirected = len(np.unique(np.minimum(tails, heads) * vertices + np.maximum(tails, heads)))
+    euler = vertices - undirected + faces
     # distinct directed edges, two per undirected edge: each edge once each way
-    paired = len(set(edges)) == len(edges) == 2 * len(undirected)
+    paired = directed == len(tails) == 2 * undirected
     if not paired or euler != 2:
         unpaired = "" if paired else ", and not every edge lies in two polygons once each way"
         raise MeshSurfaceError(f"the facet polygons are not a sphere: V - E + F = {euler}{unpaired}")

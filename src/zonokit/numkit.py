@@ -94,22 +94,21 @@ def rank(m, tol=DEFAULT_TOL):
     if a.size == 0:
         return 0
     cut = tol.threshold(np.abs(a).max())
-    rows, cols = a.shape
-    r = 0
-    while r < min(rows, cols):
+    last = min(a.shape) - 1
+    for r in range(last):
         sub = np.abs(a[r:, r:])
         flat = int(np.argmax(sub))
         i, j = divmod(flat, sub.shape[1])
         if sub[i, j] <= cut:
-            break
+            return r
         if i:
             a[[r, r + i], :] = a[[r + i, r], :]
         if j:
             a[:, [r, r + j]] = a[:, [r + j, r]]
         pivot = a[r, r]
         a[r + 1:, r:] -= np.outer(a[r + 1:, r] / pivot, a[r, r:])
-        r += 1
-    return r
+    # the last step reads only its pivot against the cut; its swaps and update go unused
+    return last + int(np.abs(a[last:, last:]).max() > cut)
 
 
 def rank_batch(stack, tol=DEFAULT_TOL):
@@ -132,7 +131,8 @@ def rank_batch(stack, tol=DEFAULT_TOL):
     cut = tol.threshold(np.abs(a).max(axis=(1, 2)))
     live = np.arange(a.shape[0])
     _, rows, cols = a.shape
-    for r in range(min(rows, cols)):
+    last = min(rows, cols) - 1
+    for r in range(last):
         sub = np.abs(a[:, r:, r:]).reshape(live.size, -1)
         flat = sub.argmax(axis=1)
         at = np.arange(live.size)
@@ -149,6 +149,9 @@ def rank_batch(stack, tol=DEFAULT_TOL):
         pivot = a[:, r, r]
         a[:, r + 1:, r:] -= (a[:, r + 1:, r] / pivot[:, None])[:, :, None] * a[:, None, r, r:]
         ranks[live] += 1
+    else:
+        # the last step reads only each pivot against the cut, as rank does
+        ranks[live] += np.abs(a[:, last:, last:]).max(axis=(1, 2)) > cut
     return ranks
 
 

@@ -49,8 +49,7 @@ class Tiling:
     source: dict = field(default_factory=dict)
 
     def volume_sum(self, matrix):
-        dets = np.linalg.det(_tile_generators(as_matrix(matrix), self.tiles))
-        return float(sum(np.abs(dets).tolist()))
+        return _volume_sum(_tile_generators(as_matrix(matrix), self.tiles))
 
     def census(self):
         return sorted(t.columns for t in self.tiles)
@@ -227,6 +226,11 @@ def _tile_generators(matrix, tiles):
     return column_subsets(matrix, _tile_columns(tiles, matrix.shape[0]))
 
 
+def _volume_sum(gens):
+    """Sum of |det| over a (T, n, n) tile generator stack, added left to right."""
+    return float(sum(np.abs(np.linalg.det(gens)).tolist()))
+
+
 def _tile_columns(tiles, n):
     """(T, n) int array of each tile's columns."""
     return np.asarray([t.columns for t in tiles], dtype=int).reshape(len(tiles), n)
@@ -277,7 +281,9 @@ def validate_tiling(z, tiling, tol=None):
     n = z.n
 
     expected = z.volume()
-    vol_sum = tiling.volume_sum(matrix)
+    columns = _tile_columns(tiling.tiles, n)
+    gens = column_subsets(matrix, columns)
+    vol_sum = _volume_sum(gens)
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
     combos, ranks = z.rank_census(n) if tol == z.tol else rank_census(z.directions, n, tol)
@@ -305,8 +311,6 @@ def validate_tiling(z, tiling, tol=None):
     # quarter of the margin, 8 (n + 2) eps |inv_i| (|c_j| + |o_i|), at most.
     eps = tol.threshold(1.0)
     tiles = len(tiling.tiles)
-    columns = _tile_columns(tiling.tiles, n)
-    gens = column_subsets(matrix, columns)
     origins = _tile_origins(tiling.tiles, n)
     centers = origins + gens.sum(axis=2) / 2.0
     inverses = np.linalg.inv(gens)

@@ -5,17 +5,18 @@ Everything here is derived from the defining matrix; the Zonotope object is
 immutable and caches its derived structure on first use.
 
 Faces are keyed by column subsets: a generating face by its closed column
-set, a vertex A 1_S by its sign vector S. Every rank decision on a column
-subset is made on the generators scaled to unit length, so it sees
-directions only; face closures read one cached rank census per subset
-size. Each closed (rank-1)-dimensional generating face gives exactly one
-opposite pair of facets. The facet table (:class:`FacetTable`) holds every
-facet side's normal, translation set, translation and support as stacked
-arrays; the ``BoundingFacet`` and ``GeometricFacet`` records, which add
-translation-set tuples and facet volumes, are built from it only on
-request. Vertices are enumerated over the same
-closed faces: every vertex is a vertex of a facet plus that facet's
-translation set. A closed 2-face is a zonogon whose vertex cycle comes from
+set, a vertex A 1_S by its sign vector S, held as an int64 mask with bit j
+for column j (frozensets only in :meth:`Zonotope.vertex_sign_vectors`).
+Every rank decision on a column subset is made on the generators scaled to
+unit length, so it sees directions only; face closures read one cached rank
+census per subset size. Each closed (rank-1)-dimensional generating face
+gives exactly one opposite pair of facets. The facet table
+(:class:`FacetTable`) holds every facet side's normal, translation set,
+translation and support as stacked arrays; the ``BoundingFacet`` and
+``GeometricFacet`` records, which add translation-set tuples and facet
+volumes, are built from it only on request. Vertices are enumerated over
+the same closed faces: every vertex is a vertex of a facet plus that
+facet's translation set. A closed 2-face is a zonogon whose vertex cycle comes from
 one angular sort of its parallel classes, a closed face of higher rank
 takes the vertices of its closed faces one rank down plus one side of the
 rest, and a parallel class has its two ends; no sub-zonotope, candidate
@@ -56,12 +57,14 @@ class FacetTable:
 
     Rows 2i and 2i + 1 are the minus and plus sides of closed face
     ``faces[i]``: their outward ``units``, ``sides`` (a (2F, k) mask of the
-    translation set), ``translations`` and ``supports``.
+    translation set), ``masks`` (the same sets as int64 sign masks),
+    ``translations`` and ``supports``.
     """
 
     faces: tuple
     units: np.ndarray
     sides: np.ndarray
+    masks: np.ndarray
     translations: np.ndarray
     supports: np.ndarray
 
@@ -232,6 +235,18 @@ class Zonotope:
             self._face_cache[s] = ([GeneratingFace(c, s) for c in order], [bases[c] for c in order])
         return self._face_cache[s][0]
 
+    @cached_property
+    def _mask_cache(self):
+        return {}
+
+    def _face_masks(self, s):
+        """Read-only sign masks of ``generating_faces(s)``, in the same order; cached per size."""
+        if s not in self._mask_cache:
+            masks = np.array([_mask(face.columns) for face in self.generating_faces(s)], dtype=np.int64)
+            masks.setflags(write=False)
+            self._mask_cache[s] = masks
+        return self._mask_cache[s]
+
     def _closures(self, s):
         """(closed column set, subset) for every rank-s s-subset, in lexicographic order.
 
@@ -333,9 +348,10 @@ class Zonotope:
         units = np.stack([-references, references], axis=1).reshape(-1, self.n)
         translations = numkit.column_sums(self.matrix, np.arange(k), sides)
         supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0]
-        for array in (units, sides, translations, supports):
+        masks = _masks(sides)
+        for array in (units, sides, masks, translations, supports):
             array.setflags(write=False)
-        return FacetTable(faces, units, sides, translations, supports)
+        return FacetTable(faces, units, sides, masks, translations, supports)
 
     @cached_property
     def _facet_records(self):
@@ -407,73 +423,73 @@ class Zonotope:
     # -- vertices ---------------------------------------------------------
 
     def _flat_sign_vectors(self, flat, s, memo):
-        """Vertex sign vectors of the face on the closed column set ``flat`` of rank s.
+        """Vertex sign masks of the face on the closed column set ``flat`` of rank s, as an int64 array.
 
         At the top of a full-rank zonotope (``flat`` all columns, s = rank =
         n >= 2) every vertex is a vertex of a bounding facet's closed face
         plus that facet's translation set. A closed 2-face below the top
-        gives the set of its vertex cycle (``_cycles``) and a parallel class
-        its two ends. Otherwise, and at the top of a rank-deficient zonotope,
-        whose column-space basis can disagree with its rank near the cut,
-        the facets of the face
-        are the parent's closed (s-1)-faces G properly inside ``flat``, and
-        every vertex is a vertex of some G plus one side of ``flat`` minus G:
-        the columns whose residual off G's span points the way of the first
-        column's residual, or the others. ``memo`` maps (columns, rank) to
-        the result, so a face shared by several flats is enumerated once; a
-        column set can be closed at two ranks near the rank cut.
+        gives its vertex cycle (``_cycles``) and a parallel class its two
+        ends. Otherwise, and at the top of a rank-deficient zonotope, whose
+        column-space basis can disagree with its rank near the cut, the
+        facets of the face are the parent's closed (s-1)-faces G properly
+        inside ``flat``, and every vertex is a vertex of some G plus one side
+        of ``flat`` minus G: the columns whose residual off G's span points
+        the way of the first column's residual, or the others. The top may
+        repeat a mask; the levels below it hold each once. ``memo`` maps
+        (columns, rank) to the result, so a face shared by several flats is
+        enumerated once; a column set can be closed at two ranks near the
+        rank cut.
         """
         if (flat, s) in memo:
             return memo[flat, s]
         if s == self.rank == self.n >= 2:
             table = self._bounding_facets
-            signs = {
-                frozenset(itertools.compress(flat, row)) | v
-                for i, row in enumerate(table.sides.tolist())
-                for v in self._flat_sign_vectors(table.faces[i // 2].columns, s - 1, memo)
-            }
+            below = [self._flat_sign_vectors(face.columns, s - 1, memo) for face in table.faces]
+            # each face's vertices joined with the translation sets of its minus and plus sides
+            sides = np.repeat(table.masks.reshape(-1, 2), [len(b) for b in below], axis=0)
+            signs = (sides | np.concatenate(below)[:, None]).ravel()
         elif s == 2 < self.rank:
-            signs = set(self._cycles[flat][0])
+            signs = self._cycles[flat][0]
         elif s == 1:
-            half = self._half(flat)
-            signs = {half, frozenset(flat) - half}
+            d = self.directions
+            half = _mask(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
+            signs = np.array([half, _mask(flat) ^ half])
         else:
             d = self.directions
-            inside = set(flat)
-            half = []
-            for face, base in zip(self.generating_faces(s - 1), self._face_cache[s - 1][1]):
-                below = face.columns
-                if len(below) == len(flat) or not inside.issuperset(below):
-                    continue
-                rest = [j for j in flat if j not in below]
+            whole = _mask(flat)
+            masks = self._face_masks(s - 1)
+            faces, bases = self._face_cache[s - 1]
+            half = [np.empty(0, np.int64)]
+            # the closed (s-1)-faces properly inside flat
+            for i in np.flatnonzero((masks & ~whole == 0) & (masks != whole)).tolist():
+                below, base = faces[i].columns, bases[i]
+                rest = np.array([j for j in flat if j not in below])
                 q, _ = np.linalg.qr(d[:, base])
                 off = d[:, rest] - q @ (q.T @ d[:, rest])
-                side = frozenset(np.array(rest)[off.T @ off[:, 0] > 0.0].tolist())
-                half.extend(b | side for b in self._flat_sign_vectors(below, s - 1, memo))
+                side = _mask(rest[off.T @ off[:, 0] > 0.0].tolist())
+                half.append(self._flat_sign_vectors(below, s - 1, memo) | side)
+            half = np.concatenate(half)
             # every face is centrally symmetric: the complement of a vertex is the opposite vertex
-            signs = {v for h in half for v in (h, frozenset(flat) - h)}
+            signs = np.unique(np.concatenate([half, whole ^ half]))
         memo[flat, s] = signs
         return signs
 
-    def _half(self, flat):
-        """The columns of ``flat`` pointing the way of its first column."""
-        d = self.directions
-        return frozenset(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
-
     @cached_property
     def _cycles(self):
-        """Vertex cycle of every closed 2-face: ``{columns: (sign vectors, frame)}``.
+        """Vertex cycle of every closed 2-face: ``{columns: (sign masks, frame)}``.
 
         The frame's rows e1, e2 span the face's plane: e1 is the first column
         of the face's generating pair, e2 the second made orthogonal to it.
         Each closed 1-face properly inside the face is split into its two
-        halves (:meth:`_half` and the rest), and the angle of its first
-        column in the frame is folded into [0, pi), swapping the halves when
-        it folds. From the union of the second halves, the walk trades each
-        class's second half for its first in angle order; the complements of
-        those m sets, in the same order, close the cycle. Consecutive sign
-        vectors differ in one parallel class, and the 2m of them run
-        counter-clockwise from e1 towards e2.
+        halves (the columns pointing the way of its first column, and the
+        rest), and the angle of its first column in the frame is folded into
+        [0, pi), swapping the halves when it folds. From the union of the
+        second halves, the walk trades each class's second half for its
+        first in angle order; the complements of those m masks, in the same
+        order, close the cycle. Consecutive masks differ in one parallel
+        class, and the 2m of them run counter-clockwise from e1 towards e2.
+        Faces with equally many classes walk together, one array step per
+        class.
         """
         d = self.directions
         faces = self.generating_faces(2)
@@ -482,40 +498,48 @@ class Zonotope:
         e2 = d[:, pairs[:, 1]].T
         e2 = e2 - e1 * np.sum(e1 * e2, axis=1)[:, None]
         e2 /= np.linalg.norm(e2, axis=1)[:, None]
-        classes = [c.columns for c in self.generating_faces(1)]
-        firsts = [self._half(c) for c in classes]
-        halves = [(h, frozenset(c) - h) for c, h in zip(classes, firsts)]
-        angles = np.arctan2(e2 @ d, e1 @ d)[:, [c[0] for c in classes]]
+        heads = [c.columns[0] for c in self.generating_faces(1)]
+        classes, flats = self._face_masks(1), self._face_masks(2)
+        # each class's columns pointing the way of its first column
+        firsts = _masks(_columns_of(classes, self.k) & (d[:, heads].T @ d > 0.0))
+        angles = np.arctan2(e2 @ d, e1 @ d)[:, heads]
         flipped = angles < 0.0
         angles[flipped] += np.pi
-        angles, flipped = angles.tolist(), flipped.tolist()
+        # each face's classes in angle order, ties in class order, the classes outside it last
+        inner = (classes & ~flats[:, None] == 0) & (classes != flats[:, None])
+        order = np.argsort(np.where(inner, angles, np.inf), axis=1, kind="stable")
+        first = np.take_along_axis(firsts ^ np.where(flipped, classes, 0), order, axis=1)
+        second = first ^ classes[order]
+        counts = inner.sum(axis=1)
         frames = np.stack([e1, e2], axis=1)
         cycles = {}
-        for f, face in enumerate(faces):
-            flat = frozenset(face.columns)
-            inner = [c for c, cls in enumerate(classes) if len(cls) < len(flat) and flat.issuperset(cls)]
-            inner.sort(key=angles[f].__getitem__)
-            steps = [halves[c][::-1] if flipped[f][c] else halves[c] for c in inner]
-            v = frozenset().union(*(second for _, second in steps))
-            walk = []
-            for first, second in steps:
-                walk.append(v)
-                v = (v - second) | first
-            cycles[face.columns] = (walk + [flat - w for w in walk], frames[f])
+        for m in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == m)
+            v = np.bitwise_or.reduce(second[rows, :m], axis=1)
+            walk = np.empty((len(rows), m), dtype=np.int64)
+            for step in range(m):
+                walk[:, step] = v
+                v = (v & ~second[rows, step]) | first[rows, step]
+            rings = np.concatenate([walk, flats[rows, None] ^ walk], axis=1)
+            for f, ring in zip(rows.tolist(), rings):
+                cycles[faces[f].columns] = (ring, frames[f])
         return cycles
 
     @cached_property
     def _vertices(self):
-        """Sorted (point, sign vector) pairs."""
+        """One read-only record per vertex, sorted by point: its ``point`` and sign ``mask``.
+
+        Equal points, possible only near the rank cut, come in mask order.
+        """
         if self.k > VERTEX_ENUM_LIMIT:
             raise CapacityError(f"vertex enumeration capped at k = {VERTEX_ENUM_LIMIT}")
-        signs = list(self._flat_sign_vectors(tuple(range(self.k)), self.rank, {}))
-        indicator = np.zeros((len(signs), self.k))
-        for i, s in enumerate(signs):
-            indicator[i, list(s)] = 1.0
-        points = indicator @ self.matrix.T
-        order = sorted(range(len(signs)), key=lambda i: tuple(points[i]))
-        return [(points[i], signs[i]) for i in order]
+        masks = np.unique(self._flat_sign_vectors(tuple(range(self.k)), self.rank, {}))
+        points = _columns_of(masks, self.k).astype(float) @ self.matrix.T
+        order = np.lexsort(points.T[::-1])
+        records = np.empty(len(masks), dtype=[("point", float, (self.n,)), ("mask", np.int64)])
+        records["point"], records["mask"] = points[order], masks[order]
+        records.setflags(write=False)
+        return records
 
     def vertices(self):
         """Extreme points, sorted lexicographically.
@@ -524,11 +548,27 @@ class Zonotope:
         vector); the subsets come from the closed generating faces, so no
         candidate outside the vertex set is ever formed.
         """
-        return [p.copy() for p, _ in self._vertices]
+        return [p.copy() for p in self._vertices["point"]]
 
     def vertex_sign_vectors(self):
         """Sign vectors of :meth:`vertices`, in the same order (frozensets)."""
-        return [s for _, s in self._vertices]
+        rows = _columns_of(self._vertices["mask"], self.k).tolist()
+        return [frozenset(itertools.compress(range(self.k), row)) for row in rows]
+
+
+def _mask(columns):
+    """Sign mask of a column collection: bit j set iff column j is in it."""
+    return sum(1 << j for j in columns)
+
+
+def _masks(rows):
+    """Int64 sign mask of each row of a (R, k) boolean array."""
+    return rows @ (np.int64(1) << np.arange(rows.shape[1], dtype=np.int64))
+
+
+def _columns_of(masks, k):
+    """(R, k) boolean array whose row i marks the columns of ``masks[i]``."""
+    return (masks[:, None] >> np.arange(k)) & 1 == 1
 
 
 def _facet_normals(coords, bases):

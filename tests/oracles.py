@@ -291,6 +291,30 @@ def directions(m):
     return m / np.linalg.norm(m, axis=0)
 
 
+def pivot_rank(m, tol):
+    """numkit.rank with every elimination step carried out, the last one's swaps and update too."""
+    a = np.array(m, dtype=float)
+    if a.size == 0:
+        return 0
+    cut = tol.threshold(np.abs(a).max())
+    rows, cols = a.shape
+    r = 0
+    while r < min(rows, cols):
+        sub = np.abs(a[r:, r:])
+        flat = int(np.argmax(sub))
+        i, j = divmod(flat, sub.shape[1])
+        if sub[i, j] <= cut:
+            break
+        if i:
+            a[[r, r + i], :] = a[[r + i, r], :]
+        if j:
+            a[:, [r, r + j]] = a[:, [r + j, r]]
+        pivot = a[r, r]
+        a[r + 1:, r:] -= np.outer(a[r + 1:, r] / pivot, a[r, r:])
+        r += 1
+    return r
+
+
 def loop_subset_determinants(m, size):
     """(subset, |det| or sqrt(det Gram)) pairs, one np.linalg.det per subset."""
     a = np.asarray(m, dtype=float)

@@ -401,6 +401,25 @@ class TestFacetRecordsOnRequest:
         assert all(a is b for a, b in zip(z.geometric_facets(), z.geometric_facets()))
 
 
+class TestSignMasks:
+    """The mesh path keeps sign vectors as int masks: no frozenset is built in zonotope or cli."""
+
+    def test_mesh_builds_no_frozenset(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return frozenset(*args)
+
+        for module in (zonotope, cli):
+            monkeypatch.setattr(module, "frozenset", counted, raising=False)
+        z = Zonotope(np.random.default_rng(136).normal(size=(3, 8)))
+        assert oracles.off_is_sphere(cli.off_mesh(z))
+        assert built == []
+        # the public sign vectors are still frozensets, built on request
+        assert len(z.vertex_sign_vectors()) == len(z.vertices()) and built
+
+
 class TestRootCommand:
     def test_identity(self, tmp_path, capsys):
         p = tmp_path / "i.txt"

@@ -130,7 +130,7 @@ class TestRank:
 
 
 def rank_stack(seed, b, m, p, kind):
-    """(b, m, p) stack: Gaussian, integer -2..2 with parallel columns, or spread column scales."""
+    """(b, m, p) stack: Gaussian, integer -2..2 with parallel columns, spread column scales, or near-parallel."""
     rng = np.random.default_rng(seed)
     if kind == "integer":
         stack = rng.integers(-2, 3, size=(b, m, p)).astype(float)
@@ -140,6 +140,8 @@ def rank_stack(seed, b, m, p, kind):
     stack = rng.normal(size=(b, m, p))
     if kind == "scaled":
         stack *= 10.0 ** rng.uniform(-4, 4, size=(b, 1, p))
+    if kind == "near-parallel":  # the last column within 10^U(-12, -2) of the first
+        stack[:, :, -1] = stack[:, :, 0] + 10.0 ** rng.uniform(-12, -2) * stack[:, :, -1]
     return stack
 
 
@@ -173,6 +175,23 @@ class TestRankBatch:
             warnings.simplefilter("error")
             assert rank_batch(stack, tol).tolist() == [0, 1, 3, 1]
         assert [rank(x, tol) for x in stack] == [0, 1, 3, 1]
+        assert [oracles.pivot_rank(x, tol) for x in stack] == [0, 1, 3, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.sampled_from(["gaussian", "integer", "scaled", "near-parallel"]),
+        st.sampled_from([Tolerance(), Tolerance(rel=1e-3)]),
+    )
+    def test_equals_full_elimination(self, seed, b, m, p, kind, tol):
+        # the last step decides on its pivot alone; the oracle also swaps and updates there
+        stack = rank_stack(seed, b, m, p, kind)
+        want = [oracles.pivot_rank(x, tol) for x in stack]
+        assert [rank(x, tol) for x in stack] == want
+        assert rank_batch(stack, tol).tolist() == want
 
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionError):

@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zonokit
+from zonokit import cli
 from zonokit.errors import CapacityError, DegeneracyError, DimensionError
 from zonokit.numkit import Tolerance
-from zonokit.zonotope import RankDeficiencyWarning, Zonotope, signatures_match
+from zonokit.zonotope import VERTEX_ENUM_LIMIT, RankDeficiencyWarning, Zonotope, signatures_match
 
 import oracles
 from fixture_matrices import (
@@ -482,6 +483,18 @@ class TestVertices:
         with pytest.raises(CapacityError):
             Zonotope(np.random.default_rng(0).normal(size=(2, 17))).vertices()
 
+    def test_at_the_cap(self):
+        # a generic 3 x k zonotope has 2 (C(k-1, 0) + C(k-1, 1) + C(k-1, 2)) vertices;
+        # at k = VERTEX_ENUM_LIMIT = 16 the sign masks use bit 15
+        z = Zonotope(np.random.default_rng(36).normal(size=(3, VERTEX_ENUM_LIMIT)))
+        points, signs = z.vertices(), z.vertex_sign_vectors()
+        assert len(points) == len(set(signs)) == 2 * (1 + 15 + 105) == 242
+        assert {frozenset(range(16)) - s for s in signs} == set(signs)
+        assert any(15 in s for s in signs)
+        for p, s in zip(points, signs):
+            assert np.allclose(p, z.matrix[:, sorted(s)].sum(axis=1), rtol=0.0, atol=1e-12)
+        assert oracles.off_is_sphere(cli.off_mesh(z))
+
     def test_degenerate_integer_against_hull(self):
         # entries in -2..2 with forced parallel and antiparallel column pairs
         rng = np.random.default_rng(31)
@@ -653,7 +666,9 @@ class TestFaceCycles:
         z = Zonotope(matrix)
         classes = {frozenset(f.columns) for f in z.generating_faces(1)}
         for bf in z.bounding_facets():
-            cycle, (e1, e2) = z._cycles[bf.generating.columns]
+            masks, (e1, e2) = z._cycles[bf.generating.columns]
+            # bit j of a sign mask stands for column j
+            cycle = [frozenset(j for j in range(z.k) if m >> j & 1) for m in masks.tolist()]
             assert len(set(cycle)) == len(cycle) >= 4
             # neighbours differ in exactly one parallel class of the face
             for v, w in zip(cycle, cycle[1:] + cycle[:1]):
