@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +40,6 @@ class ParseFailure(ZonokitError):
     pass
 
 
-@dataclass
-class RunConfig:
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
-    seed: int = 0
-    out: str | None = None
-
-    @property
-    def tol(self):
-        return Tolerance(abs=self.tol_abs, rel=self.tol_rel)
-
-
 def _parse_floats(tokens, where):
     """Finite floats of ``tokens``, or ParseFailure at the first bad one, located by ``where(index)`` only then."""
     try:
@@ -70,15 +57,23 @@ def _parse_floats(tokens, where):
             raise ParseFailure(f"{where(i)}: NaN/Inf not admitted: {token!r}")
 
 
-def load_matrix(path):
-    """Read a matrix from JSON {rows, cols, data} or whitespace text rows."""
+def _read(path):
+    """The text of the file at ``path``, or ParseFailure naming it."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseFailure(f"{path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+
+
+def load_matrix(path):
+    """Read a matrix from JSON {rows, cols, data} or whitespace text rows."""
+    return _parse_matrix(_read(path), path)
+
+
+def _parse_matrix(text, path):
+    """The matrix in ``text``, read from ``path``: JSON {rows, cols, data} or whitespace text rows."""
+    if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -111,26 +106,22 @@ def load_matrix(path):
 
 def load_points(path):
     """Read points from JSON {points: [[...], ...]} or whitespace text rows."""
+    text = _read(path)
+    if not text.lstrip().startswith("{"):
+        return _parse_matrix(text, path), None
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseFailure(f"{path}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}") from exc
-        if "points" in payload:
-            return _point_rows(payload["points"], f"{path}: points"), None
-        if "segments" in payload:
-            segs = payload["segments"]
-            if not isinstance(segs, list) or not all(isinstance(s, list) and len(s) == 2 for s in segs):
-                raise ParseFailure(f"{path}: segments must be a list of [start, end] pairs")
-            ends = _point_rows([p for s in segs for p in s], f"{path}: segments")
-            return None, ends.reshape(len(segs), 2, -1)
-        raise ParseFailure(f"{path}: JSON needs a points or segments field")
-    return load_matrix(path), None
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    if "points" in payload:
+        return _point_rows(payload["points"], f"{path}: points"), None
+    if "segments" in payload:
+        segs = payload["segments"]
+        if not isinstance(segs, list) or not all(isinstance(s, list) and len(s) == 2 for s in segs):
+            raise ParseFailure(f"{path}: segments must be a list of [start, end] pairs")
+        ends = _point_rows([p for s in segs for p in s], f"{path}: segments")
+        return None, ends.reshape(len(segs), 2, -1)
+    raise ParseFailure(f"{path}: JSON needs a points or segments field")
 
 
 def _is_count(x):
@@ -189,18 +180,18 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def cmd_volume(args, cfg):
+def cmd_volume(args, tol):
     if args.mc_samples < 0:
         raise ParseFailure(f"--mc-samples must be nonnegative, got {args.mc_samples}")
     matrix = load_matrix(args.matrix)
-    z = Zonotope(matrix, cfg.tol)
+    z = Zonotope(matrix, tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vol = z.volume()
     total = math.comb(z.k, z.n) if z.k >= z.n else 0
     indep = 0
     if z.rank == z.n:
-        det_cut = cfg.tol.threshold(float(np.abs(matrix).max()) ** z.n)
+        det_cut = tol.threshold(float(np.abs(matrix).max()) ** z.n)
         indep = int(np.count_nonzero(np.abs(z.subset_measures(z.n)) > det_cut))
     if z.rank < z.n:
         print(f"warning: rank {z.rank} < dimension {z.n}; reporting the {z.rank}-volume", file=sys.stderr)
@@ -209,7 +200,7 @@ def cmd_volume(args, cfg):
         # a body of lower rank has n-volume 0; sampling would only count the slack around it
         print(f"mc-volume 0 (rank {z.rank} < dimension {z.n}, no samples drawn)")
     elif args.mc_samples:
-        est = _mc_volume(z, args.mc_samples, cfg.seed)
+        est = _mc_volume(z, args.mc_samples, args.seed)
         print(f"mc-volume {_fmt(est)} ({args.mc_samples} samples)")
     return EXIT_OK
 
@@ -236,12 +227,12 @@ def _mc_volume(z, samples, seed):
     return box * hits / samples
 
 
-def cmd_congruent(args, cfg):
+def cmd_congruent(args, tol):
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     if a.shape[1] != b.shape[1]:
         raise ParseFailure("matrices must have equal column counts")
-    witness = congruence.congruent_zonotopes(a, b, cfg.tol)
+    witness = congruence.congruent_zonotopes(a, b, tol)
     if witness is None:
         print("not congruent")
         return EXIT_NEGATIVE
@@ -257,15 +248,15 @@ def cmd_congruent(args, cfg):
         "residual": residual,
     }
     print(json.dumps(payload, indent=2))
-    if cfg.out:
-        _write_json(payload, cfg.out)
+    if args.out:
+        _write_json(payload, args.out)
     print(f"congruent, residual {_fmt(residual)}")
     return EXIT_OK
 
 
-def cmd_tile(args, cfg):
+def cmd_tile(args, tol):
     matrix = load_matrix(args.matrix)
-    z = Zonotope(matrix, cfg.tol)
+    z = Zonotope(matrix, tol)
     if z.rank < z.n:
         print(f"rank deficiency: rank {z.rank} < dimension {z.n}", file=sys.stderr)
         return EXIT_RANK
@@ -273,7 +264,7 @@ def cmd_tile(args, cfg):
     if args.order:
         order = [int(tok) for tok in args.order.split(",")]
     til = tiling_mod.tile_zonotope(z, order)
-    report = tiling_mod.validate_tiling(z, til, cfg.tol)
+    report = tiling_mod.validate_tiling(z, til, tol)
     payload = til.to_dict(z.matrix)
     payload["validation"] = {
         "ok": report.ok,
@@ -284,7 +275,7 @@ def cmd_tile(args, cfg):
         "volume_sum": report.volume_sum,
         "expected_volume": report.expected_volume,
     }
-    out = cfg.out or "tiling.json"
+    out = args.out or "tiling.json"
     with open(out, "w") as fh:
         fh.write(_tiling_json(payload) + "\n")
     print(f"{len(til.tiles)} tiles, volume {_fmt(report.volume_sum)}, validation {'pass' if report.ok else 'FAIL'}")
@@ -293,12 +284,12 @@ def cmd_tile(args, cfg):
     return EXIT_OK
 
 
-def cmd_root(args, cfg):
+def cmd_root(args, tol):
     matrix = load_matrix(args.matrix)
     if matrix.shape[0] != matrix.shape[1]:
         raise ParseFailure("exterior root needs a square matrix")
     try:
-        result = rigidity.exterior_root(matrix, cfg.tol)
+        result = rigidity.exterior_root(matrix, tol)
     except DegeneracyError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
@@ -306,15 +297,15 @@ def cmd_root(args, cfg):
         print(f"no real root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
     payload = matrix_to_dict(result.root)
-    out = cfg.out or "root.json"
+    out = args.out or "root.json"
     _write_json(payload, out)
     print(f"residual {_fmt(result.residual)}")
     return EXIT_OK
 
 
-def cmd_mesh(args, cfg):
+def cmd_mesh(args, tol):
     matrix = load_matrix(args.matrix)
-    z = Zonotope(matrix, cfg.tol)
+    z = Zonotope(matrix, tol)
     if z.rank != 3 or z.n != 3:
         print(f"mesh export needs rank 3 in R^3, got rank {z.rank} in R^{z.n}", file=sys.stderr)
         return EXIT_MESH_RANK
@@ -323,7 +314,7 @@ def cmd_mesh(args, cfg):
     except MeshSurfaceError as exc:
         print(f"mesh: {exc}; the faces are near the rank cut, try another --tol-rel", file=sys.stderr)
         return EXIT_MESH_RANK
-    out = cfg.out or "mesh.off"
+    out = args.out or "mesh.off"
     with open(out, "w") as fh:
         fh.write(text)
     verts, faces = text.split("\n", 2)[1].split()[:2]
@@ -412,21 +403,21 @@ def _check_sphere(vertices, faces, tails, heads):
         raise MeshSurfaceError(f"the facet polygons are not a sphere: V - E + F = {euler}{unpaired}")
 
 
-def cmd_symmetry(args, cfg):
+def cmd_symmetry(args, tol):
     points, segments = load_points(args.input)
     if segments is not None:
-        report = symmetry.loop_symmetric(symmetry.SegmentLoop(segments, cfg.tol), cfg.tol)
+        report = symmetry.loop_symmetric(symmetry.SegmentLoop(segments, tol), tol)
         _print_symmetry(report, "loop")
         return EXIT_OK if report.symmetric else EXIT_NEGATIVE
-    report = symmetry.central_center(points, cfg.tol)
+    report = symmetry.central_center(points, tol)
     _print_symmetry(report, "point set")
     code = EXIT_OK if report.symmetric else EXIT_NEGATIVE
     if points.shape[1] == 2 and points.shape[0] >= 3:
-        loop = symmetry.SegmentLoop.from_polygon(points, cfg.tol)
-        loop_report = symmetry.loop_symmetric(loop, cfg.tol)
+        loop = symmetry.SegmentLoop.from_polygon(points, tol)
+        loop_report = symmetry.loop_symmetric(loop, tol)
         _print_symmetry(loop_report, "polygon loop")
         try:
-            gens = symmetry.zonogon_recognize(points, cfg.tol)
+            gens = symmetry.zonogon_recognize(points, tol)
         except ValueError as exc:
             print(f"zonogon: not applicable ({exc})")
         else:
@@ -507,11 +498,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
-    cfg = RunConfig(
-        tol_abs=args.tol_abs, tol_rel=args.tol_rel, seed=args.seed, out=args.out
-    )
     try:
-        return COMMANDS[args.command](args, cfg)
+        return COMMANDS[args.command](args, Tolerance(abs=args.tol_abs, rel=args.tol_rel))
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,17 +9,20 @@ set, a vertex A 1_S by its sign vector S, held as an int64 mask with bit j
 for column j (frozensets only in :meth:`Zonotope.vertex_sign_vectors`).
 Every rank decision on a column subset is made on the generators scaled to
 unit length, so it sees directions only; face closures read one cached rank
-census per subset size. Each closed (rank-1)-dimensional generating face
-gives exactly one opposite pair of facets. The facet table
-(:class:`FacetTable`) holds every facet side's normal, translation set,
-translation and support as stacked arrays; the ``BoundingFacet`` and
-``GeometricFacet`` records, which add translation-set tuples and facet
-volumes, are built from it only on request. Vertices are enumerated over
-the same closed faces: every vertex is a vertex of a facet plus that
-facet's translation set. A closed 2-face is a zonogon whose vertex cycle comes from
-one angular sort of its parallel classes, a closed face of higher rank
-takes the vertices of its closed faces one rank down plus one side of the
-rest, and a parallel class has its two ends; no sub-zonotope, candidate
+census per subset size. Each face level is kept once, with its closure
+table: one boolean row of member columns per closed face, which the facets,
+zones, parallel classes (the closed 1-faces) and vertices all read. Each
+closed (rank-1)-dimensional generating face gives exactly one opposite pair
+of facets. The facet table (:class:`FacetTable`) holds every facet side's
+normal, translation set, translation and support as stacked arrays; the
+``BoundingFacet`` and ``GeometricFacet`` records, which add translation-set
+tuples and facet volumes, are built from it only on request. Vertices are
+enumerated over the same closed faces: every vertex is a vertex of a facet
+plus that facet's translation set. A closed 2-face is a zonogon whose
+vertex cycle comes from one angular sort of its parallel classes, a closed
+face of higher rank takes the vertices of its closed faces one rank down
+plus one side of the rest, read from one stacked residual table per face
+level, and a parallel class has its two ends; no sub-zonotope, candidate
 point or linear program is involved.
 """
 
@@ -155,20 +158,8 @@ class Zonotope:
 
     @cached_property
     def parallel_classes(self):
-        """Groups of mutually parallel generators (each a tuple of indices)."""
-        classes = []
-        assigned = [False] * self.k
-        for i in range(self.k):
-            if assigned[i]:
-                continue
-            group = [i]
-            assigned[i] = True
-            for j in range(i + 1, self.k):
-                if not assigned[j] and numkit.rank(self.directions[:, [i, j]], self.tol) == 1:
-                    group.append(j)
-                    assigned[j] = True
-            classes.append(tuple(group))
-        return classes
+        """Groups of mutually parallel generators (each a tuple of indices): the closed 1-faces."""
+        return [face.columns for face in self.generating_faces(1)]
 
     def column(self, i):
         return self.matrix[:, i]
@@ -218,48 +209,43 @@ class Zonotope:
         """All maximal column subsets of rank s, as GeneratingFace records.
 
         s = 0 returns the generators themselves, one face per column. Ranks
-        are decided on ``directions``. Each face's first generating s-subset
-        in lexicographic order is kept alongside (``_face_cache[s]``); a
-        facet takes its normal from that subset.
+        are decided on ``directions``. The faces come in column-tuple order.
+        ``_face_cache[s]`` keeps them with their closure table: each face's
+        first generating s-subset in lexicographic order (a facet takes its
+        normal from it) and its (F, k) boolean row of member columns.
         """
         if not 0 <= s <= self.rank:
             raise DegeneracyError(f"face dimension {s} outside 0..{self.rank}")
         if s not in self._face_cache:
-            if s == 0:
-                bases = {(i,): (i,) for i in range(self.k)}
-            else:
-                bases = {}
-                for closure, base in self._closures(s):
-                    bases.setdefault(closure, base)
-            order = sorted(bases)
-            self._face_cache[s] = ([GeneratingFace(c, s) for c in order], [bases[c] for c in order])
+            k = self.k
+            rows, combos = (np.eye(k, dtype=bool), np.arange(k)[:, None]) if s == 0 else self._closures(s)
+            # each closed column set (an exact key, where an int64 mask would merge columns past 63)
+            # and the place of its first subset
+            first = {}
+            for i, row in enumerate(rows.tolist()):
+                first.setdefault(tuple(itertools.compress(range(k), row)), i)
+            columns = sorted(first)
+            at = [first[c] for c in columns]
+            members, bases = rows[at], combos[at]
+            members.setflags(write=False)
+            self._face_cache[s] = ([GeneratingFace(c, s) for c in columns], bases, members)
         return self._face_cache[s][0]
 
-    @cached_property
-    def _mask_cache(self):
-        return {}
-
-    def _face_masks(self, s):
-        """Read-only sign masks of ``generating_faces(s)``, in the same order; cached per size."""
-        if s not in self._mask_cache:
-            masks = np.array([_mask(face.columns) for face in self.generating_faces(s)], dtype=np.int64)
-            masks.setflags(write=False)
-            self._mask_cache[s] = masks
-        return self._mask_cache[s]
-
     def _closures(self, s):
-        """(closed column set, subset) for every rank-s s-subset, in lexicographic order.
+        """(members, subsets) of every rank-s s-subset, in lexicographic order.
 
-        Column j is in the closure of S iff S plus j still has rank s. For j
-        outside S that rank is read from the (s+1)-census, at the index of
-        S plus j sorted; the columns of S are in it. Runs of
-        ``SUBSET_BATCH // k`` subsets bound the index temporaries.
+        Row i of the (N, k) boolean ``members`` marks the closed column set
+        of ``subsets[i]``: column j is in it iff the subset plus j still has
+        rank s. For j outside the subset that rank is read from the
+        (s+1)-census, at the index of the subset plus j sorted; the subset's
+        own columns are in it. Runs of ``SUBSET_BATCH // k`` subsets bound the
+        index temporaries.
         """
         combos, ranks = self.rank_census(s)
         _, above = self.rank_census(s + 1)
         base = combos[ranks == s]
         k = self.k
-        pairs = []
+        members = np.empty((len(base), k), dtype=bool)
         step = max(1, numkit.SUBSET_BATCH // k)
         for start in range(0, len(base), step):
             chunk = base[start:start + step]
@@ -267,15 +253,15 @@ class Zonotope:
             at, j = np.nonzero(~inside)
             grown = np.sort(np.column_stack([chunk[at], j]), axis=1)
             inside[at, j] = above[numkit.subset_index(grown, k)] == s
-            closures = [tuple(itertools.compress(range(k), row)) for row in inside.tolist()]
-            pairs.extend(zip(closures, map(tuple, chunk.tolist())))
-        return pairs
+            members[start:start + step] = inside
+        return members, base
 
     def zone(self, i):
         """Generating facets whose column set contains generator i."""
         if not 0 <= i < self.k:
             raise IndexError(f"generator index {i} outside 0..{self.k - 1}")
-        return [f for f in self.generating_faces(self.rank - 1) if i in f.columns]
+        faces = self.generating_faces(self.rank - 1)
+        return list(itertools.compress(faces, self._face_cache[self.rank - 1][2][:, i].tolist()))
 
     # -- volumes ---------------------------------------------------------
 
@@ -328,7 +314,7 @@ class Zonotope:
         basis = self._column_space_basis
         coords = self.matrix if basis is None else basis.T @ self.matrix
         faces = tuple(self.generating_faces(self.rank - 1))
-        bases = self._face_cache[self.rank - 1][1]
+        _, bases, members = self._face_cache[self.rank - 1]
         # One row per face. A matmul on (.., m, 1) or (.., 1, m) stacks makes
         # one BLAS matrix-vector or dot call per row, as a loop over the faces
         # would, so every value is bit-identical to the one-face computation.
@@ -338,15 +324,11 @@ class Zonotope:
         lengths = np.sqrt(np.matmul(normals[:, None, :], normals[:, :, None])[:, 0, 0])
         references = numkit.sign_normalize(normals / lengths[:, None], self.tol)
         proj = np.matmul(self.matrix.T, references[:, :, None])[:, :, 0]
-        k = self.k
-        sizes = [len(face.columns) for face in faces]
-        members = np.fromiter(itertools.chain.from_iterable(face.columns for face in faces), int, sum(sizes))
-        outside = np.ones((len(faces), k), dtype=bool)
-        outside[np.repeat(np.arange(len(faces)), sizes), members] = False
+        outside = ~members
         # minus then plus side of each face
-        sides = np.stack([outside & (proj < 0.0), outside & (proj >= 0.0)], axis=1).reshape(-1, k)
+        sides = np.stack([outside & (proj < 0.0), outside & (proj >= 0.0)], axis=1).reshape(-1, self.k)
         units = np.stack([-references, references], axis=1).reshape(-1, self.n)
-        translations = numkit.column_sums(self.matrix, np.arange(k), sides)
+        translations = numkit.column_sums(self.matrix, np.arange(self.k), sides)
         supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0]
         masks = _masks(sides)
         for array in (units, sides, masks, translations, supports):
@@ -425,54 +407,67 @@ class Zonotope:
     def _flat_sign_vectors(self, flat, s, memo):
         """Vertex sign masks of the face on the closed column set ``flat`` of rank s, as an int64 array.
 
-        At the top of a full-rank zonotope (``flat`` all columns, s = rank =
-        n >= 2) every vertex is a vertex of a bounding facet's closed face
-        plus that facet's translation set. A closed 2-face below the top
-        gives its vertex cycle (``_cycles``) and a parallel class its two
-        ends. Otherwise, and at the top of a rank-deficient zonotope, whose
-        column-space basis can disagree with its rank near the cut, the
-        facets of the face are the parent's closed (s-1)-faces G properly
-        inside ``flat``, and every vertex is a vertex of some G plus one side
-        of ``flat`` minus G: the columns whose residual off G's span points
-        the way of the first column's residual, or the others. The top may
-        repeat a mask; the levels below it hold each once. ``memo`` maps
-        (columns, rank) to the result, so a face shared by several flats is
-        enumerated once; a column set can be closed at two ranks near the
-        rank cut.
+        At the top (``flat`` all columns, s = rank >= 2) every vertex is a
+        vertex of a bounding facet's closed face plus that facet's
+        translation set. A closed 2-face below the top gives its vertex cycle
+        (``_cycles``) and a parallel class its two ends. Otherwise the facets
+        of the face are the parent's closed (s-1)-faces G properly inside
+        ``flat``, and every vertex is a vertex of some G plus one side of
+        ``flat`` minus G: the columns whose residual off G's span points the
+        way of the first column's residual, or the others. The residuals
+        come from the level's stack (``_residuals``), so each flat costs one
+        mask test and one batched matmul. The top may repeat a mask; the
+        levels below it hold each once. ``memo`` maps (columns, rank) to the
+        result, so a face shared by several flats is enumerated once; a
+        column set can be closed at two ranks near the rank cut.
         """
         if (flat, s) in memo:
             return memo[flat, s]
-        if s == self.rank == self.n >= 2:
+        if s == self.rank >= 2:
             table = self._bounding_facets
             below = [self._flat_sign_vectors(face.columns, s - 1, memo) for face in table.faces]
             # each face's vertices joined with the translation sets of its minus and plus sides
             sides = np.repeat(table.masks.reshape(-1, 2), [len(b) for b in below], axis=0)
             signs = (sides | np.concatenate(below)[:, None]).ravel()
-        elif s == 2 < self.rank:
+        elif s == 2:
             signs = self._cycles[flat][0]
         elif s == 1:
             d = self.directions
             half = _mask(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
             signs = np.array([half, _mask(flat) ^ half])
         else:
-            d = self.directions
             whole = _mask(flat)
-            masks = self._face_masks(s - 1)
-            faces, bases = self._face_cache[s - 1]
-            half = [np.empty(0, np.int64)]
-            # the closed (s-1)-faces properly inside flat
-            for i in np.flatnonzero((masks & ~whole == 0) & (masks != whole)).tolist():
-                below, base = faces[i].columns, bases[i]
-                rest = np.array([j for j in flat if j not in below])
-                q, _ = np.linalg.qr(d[:, base])
-                off = d[:, rest] - q @ (q.T @ d[:, rest])
-                side = _mask(rest[off.T @ off[:, 0] > 0.0].tolist())
-                half.append(self._flat_sign_vectors(below, s - 1, memo) | side)
-            half = np.concatenate(half)
+            faces = self.generating_faces(s - 1)
+            masks, residuals = self._residuals[s - 1]
+            # the closed (s-1)-faces G properly inside flat, and flat minus each G
+            rows = np.flatnonzero((masks & ~whole == 0) & (masks != whole))
+            rest = _columns_of(whole ^ masks[rows], self.k)
+            off = residuals[rows]
+            lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
+            sides = _masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
+            below = [self._flat_sign_vectors(faces[i].columns, s - 1, memo) for i in rows.tolist()]
+            half = np.repeat(sides, [len(b) for b in below]) | np.concatenate([np.empty(0, np.int64), *below])
             # every face is centrally symmetric: the complement of a vertex is the opposite vertex
             signs = np.unique(np.concatenate([half, whole ^ half]))
         memo[flat, s] = signs
         return signs
+
+    @cached_property
+    def _residuals(self):
+        """``{s: (masks, residuals)}`` for every face level s in 2..rank-2.
+
+        ``masks`` holds the closed s-faces' sign masks and ``residuals[i]``
+        the (n, k) residuals of every direction off the span of face i's
+        generating subset; one stacked QR per level.
+        """
+        d = self.directions
+        levels = {}
+        for s in range(2, self.rank - 1):
+            self.generating_faces(s)
+            _, bases, members = self._face_cache[s]
+            q, _ = np.linalg.qr(numkit.column_subsets(d, bases))
+            levels[s] = (_masks(members), d - q @ (np.swapaxes(q, 1, 2) @ d))
+        return levels
 
     @cached_property
     def _cycles(self):
@@ -493,15 +488,17 @@ class Zonotope:
         """
         d = self.directions
         faces = self.generating_faces(2)
-        pairs = np.array(self._face_cache[2][1])
+        self.generating_faces(1)
+        _, pairs, planes = self._face_cache[2]
+        _, _, lines = self._face_cache[1]
         e1 = d[:, pairs[:, 0]].T
         e2 = d[:, pairs[:, 1]].T
         e2 = e2 - e1 * np.sum(e1 * e2, axis=1)[:, None]
         e2 /= np.linalg.norm(e2, axis=1)[:, None]
-        heads = [c.columns[0] for c in self.generating_faces(1)]
-        classes, flats = self._face_masks(1), self._face_masks(2)
+        heads = lines.argmax(axis=1)
+        classes, flats = _masks(lines), _masks(planes)
         # each class's columns pointing the way of its first column
-        firsts = _masks(_columns_of(classes, self.k) & (d[:, heads].T @ d > 0.0))
+        firsts = _masks(lines & (d[:, heads].T @ d > 0.0))
         angles = np.arctan2(e2 @ d, e1 @ d)[:, heads]
         flipped = angles < 0.0
         angles[flipped] += np.pi

@@ -74,6 +74,16 @@ class TestMatrixParsing:
         with pytest.raises(cli.ParseFailure):
             cli.load_matrix("/nonexistent/m.txt")
 
+    def test_text_points_file_opened_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "pts.txt"
+        write_text_matrix(p, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        opened = []
+        # a module global shadows the builtin inside cli only
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: opened.append(args) or open(*args, **kwargs), raising=False)
+        points, segments = cli.load_points(str(p))
+        assert np.array_equal(points, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]) and segments is None
+        assert len(opened) == 1
+
 
 class TestMalformedInput:
     """Shape errors exit 10 with zonokit's own message, never a traceback."""

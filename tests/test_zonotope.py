@@ -1,3 +1,5 @@
+import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zonokit
-from zonokit import cli
+from zonokit import cli, tiling
 from zonokit.errors import CapacityError, DegeneracyError, DimensionError
 from zonokit.numkit import Tolerance
 from zonokit.zonotope import VERTEX_ENUM_LIMIT, RankDeficiencyWarning, Zonotope, signatures_match
@@ -120,6 +122,15 @@ class TestGeneratingFaces:
     def test_out_of_range(self):
         with pytest.raises(DegeneracyError):
             Zonotope(A0).generating_faces(4)
+
+    def test_seventy_columns_in_the_plane(self):
+        # 70 closed 1-faces; int64 sign masks of these columns would merge columns 63..69
+        z = Zonotope(np.random.default_rng(70).normal(size=(2, 70)))
+        faces = [f.columns for f in z.generating_faces(1)]
+        assert faces == [(i,) for i in range(70)]
+        assert z.parallel_classes == faces
+        assert len(z.bounding_facets()) == 140
+        assert tiling.validate_tiling(z, tiling.tile_zonotope(z)).ok
 
     def test_chunked_closures_give_the_same_faces(self, monkeypatch):
         z = Zonotope(np.random.default_rng(9).integers(-2, 3, size=(4, 8)).astype(float) + np.eye(4, 8))
@@ -584,6 +595,18 @@ class TestVertices:
         assert len(z.vertices()) > 0
         assert built == []
 
+    def test_one_qr_per_face_level(self, monkeypatch):
+        # the residual levels take one stacked QR each, and the parallel classes
+        # are the closed 1-faces: the one rank call is Zonotope.rank's
+        calls = []
+        for owner, name in ((np.linalg, "qr"), (zonokit.numkit, "rank")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+        z = Zonotope(np.random.default_rng(35).normal(size=(5, 12)))
+        assert len(z.vertices()) > 0 and len(z.parallel_classes) == 12
+        assert calls.count("qr") <= z.rank + 1
+        assert calls.count("rank") == 1
+
     def test_capacity_before_faces(self, monkeypatch):
         calls = []
         faces = Zonotope.generating_faces
@@ -605,10 +628,12 @@ class TestVertices:
         assert {frozenset(range(z.k)) - s for s in signs} == signs
 
     def test_near_cut_rank_deficient(self):
-        # below full rank the vertices never read the column-space basis, which
-        # here has three columns at rank 2
+        # the top level comes from the facet table, as at full rank; greedy
+        # independent columns pick three columns at rank 2, and the column-space
+        # basis keeps the first two
         z = Zonotope(near_cut_rank_deficient())
         assert z.rank == 2 and len(z.vertices()) == 10
+        assert "_bounding_facets" in vars(z)
         signs = set(z.vertex_sign_vectors())
         assert {frozenset(range(z.k)) - s for s in signs} == signs
 
@@ -710,6 +735,18 @@ class TestAgainstSubZonotopeRecursion:
             assert z.vertex_sign_vectors() == [want[i] for i in order]
             assert np.array(z.vertices()).tobytes() == points[order].tobytes()
         assert recursed <= 2
+
+
+class TestTracedNames:
+    """perfbench/tracing.py patches these Zonotope attributes by name; a rename would zero its layer metrics."""
+
+    @pytest.mark.parametrize("name", ["generating_faces", "zone", "volume", "m_volume", "facet_volume"])
+    def test_method(self, name):
+        assert inspect.isfunction(Zonotope.__dict__.get(name))
+
+    @pytest.mark.parametrize("name", ["_bounding_facets", "_geometric_facets", "_vertices"])
+    def test_cached_structure(self, name):
+        assert isinstance(Zonotope.__dict__.get(name), functools.cached_property)
 
 
 class TestFacetSignature:
