@@ -70,7 +70,6 @@ from .tiling import (
 from .zonotope import (
     BoundingFacet,
     GeneratingFace,
-    GeometricFacet,
     RankDeficiencyWarning,
     Zonotope,
     signatures_match,

@@ -24,8 +24,8 @@ from .errors import (
     NoRealRootError,
     ZonokitError,
 )
-from .numkit import Tolerance, as_matrix
-from .zonotope import Zonotope
+from .numkit import Tolerance, as_matrix, subsets
+from .zonotope import RankDeficiencyWarning, Zonotope
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -180,19 +180,29 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _zonotope(matrix, tol):
+    """``Zonotope(matrix, tol)``, its zero-generator warning printed in the CLI's style."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        z = Zonotope(matrix, tol)
+    if z.stripped_columns:
+        print(f"warning: stripped zero generators at columns {z.stripped_columns}", file=sys.stderr)
+    return z
+
+
 def cmd_volume(args, tol):
     if args.mc_samples < 0:
         raise ParseFailure(f"--mc-samples must be nonnegative, got {args.mc_samples}")
-    matrix = load_matrix(args.matrix)
-    z = Zonotope(matrix, tol)
+    z = _zonotope(load_matrix(args.matrix), tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vol = z.volume()
     total = math.comb(z.k, z.n) if z.k >= z.n else 0
     indep = 0
     if z.rank == z.n:
-        det_cut = tol.threshold(float(np.abs(matrix).max()) ** z.n)
-        indep = int(np.count_nonzero(np.abs(z.subset_measures(z.n)) > det_cut))
+        # a subset is independent iff its unit directions are: |minor| over its column norms' product
+        norms = np.linalg.norm(z.matrix, axis=0)[subsets(z.k, z.n)].prod(axis=1)
+        indep = int(np.count_nonzero(np.abs(z.subset_measures(z.n)) / norms > tol.threshold(1.0)))
     if z.rank < z.n:
         print(f"warning: rank {z.rank} < dimension {z.n}; reporting the {z.rank}-volume", file=sys.stderr)
     print(f"rank {z.rank}, volume {_fmt(vol)}, {indep}/{total} subsets independent")
@@ -255,8 +265,7 @@ def cmd_congruent(args, tol):
 
 
 def cmd_tile(args, tol):
-    matrix = load_matrix(args.matrix)
-    z = Zonotope(matrix, tol)
+    z = _zonotope(load_matrix(args.matrix), tol)
     if z.rank < z.n:
         print(f"rank deficiency: rank {z.rank} < dimension {z.n}", file=sys.stderr)
         return EXIT_RANK
@@ -304,8 +313,7 @@ def cmd_root(args, tol):
 
 
 def cmd_mesh(args, tol):
-    matrix = load_matrix(args.matrix)
-    z = Zonotope(matrix, tol)
+    z = _zonotope(load_matrix(args.matrix), tol)
     if z.rank != 3 or z.n != 3:
         print(f"mesh export needs rank 3 in R^3, got rank {z.rank} in R^{z.n}", file=sys.stderr)
         return EXIT_MESH_RANK

@@ -52,12 +52,6 @@ class CongruenceWitness:
             b = np.vstack([b, np.zeros((mapped.shape[0] - b.shape[0], b.shape[1]))])
         return float(np.linalg.norm(mapped - b))
 
-    def permutation_matrix(self):
-        k = len(self.sigma)
-        p = np.zeros((k, k))
-        p[list(self.sigma), np.arange(k)] = 1.0
-        return p
-
 
 @dataclass(eq=False)
 class ConditionReport:

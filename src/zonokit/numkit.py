@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-# Subsets per stacked call in subset_determinants, rank_census and the face closures:
+# Subsets per stacked call in subset_measures, rank_census and the face closures:
 # bounds the temporary stacks of wide inputs without splitting desk-scale ones.
 SUBSET_BATCH = 8192
 
@@ -307,20 +307,6 @@ def signed_compound(m):
     return _minor_matrix(a, signed=True)
 
 
-def subset_determinants(m, size):
-    """|det| of every ``size``-column submatrix, in lexicographic subset order.
-
-    Yields (subset_tuple, det_value) pairs; subsets index columns 0-based.
-    Square subsets give their determinant; smaller ones the square root of
-    their Gram determinant (see :func:`subset_measures`).
-    """
-    a = as_matrix(m)
-    if size > a.shape[0]:
-        raise DimensionError("subset size exceeds row count")
-    combos = subsets(a.shape[1], size)
-    yield from zip(map(tuple, combos.tolist()), subset_measures(a, combos).tolist())
-
-
 def subset_measures(m, subsets):
     """Determinant of ``m[:, s]`` for each row s of ``subsets``, as an array.
 
@@ -342,17 +328,6 @@ def subset_measures(m, subsets):
             gram_dets = np.linalg.det(np.swapaxes(stack, 1, 2) @ stack)
             values[start:start + SUBSET_BATCH] = np.sqrt(np.maximum(gram_dets, 0.0))
     return values
-
-
-def independent_columns(m, tol=DEFAULT_TOL):
-    """Greedy left-to-right maximal independent column subset (0-based indices)."""
-    a = as_matrix(m)
-    picked = []
-    for j in range(a.shape[1]):
-        trial = picked + [j]
-        if rank(a[:, trial], tol) == len(trial):
-            picked.append(j)
-    return picked
 
 
 def sign_normalize(v, tol=DEFAULT_TOL):

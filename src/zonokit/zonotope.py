@@ -15,8 +15,9 @@ zones, parallel classes (the closed 1-faces) and vertices all read. Each
 closed (rank-1)-dimensional generating face gives exactly one opposite pair
 of facets. The facet table (:class:`FacetTable`) holds every facet side's
 normal, translation set, translation and support as stacked arrays; the
-``BoundingFacet`` and ``GeometricFacet`` records, which add translation-set
-tuples and facet volumes, are built from it only on request. Vertices are
+``BoundingFacet`` records, which add translation-set tuples and facet
+volumes, are built from it only on request, and ``geometric_facets`` returns
+the same records in geometric-facet order. Vertices are
 enumerated over the same closed faces: every vertex is a vertex of a facet
 plus that facet's translation set. A closed 2-face is a zonogon whose
 vertex cycle comes from one angular sort of its parallel classes, a closed
@@ -96,20 +97,6 @@ class BoundingFacet:
         return self.positive_set if self.side == "plus" else self.negative_set
 
 
-@dataclass(eq=False)
-class GeometricFacet:
-    """One actual facet of the zonotope: exactly one bounding facet.
-
-    ``constituents`` is that bounding facet as a one-element list; normal,
-    support and volume are its own.
-    """
-
-    constituents: list
-    unit_normal: np.ndarray
-    support: float
-    volume: float
-
-
 class Zonotope:
     """Zonotope given by its n x k defining matrix plus a tolerance.
 
@@ -160,9 +147,6 @@ class Zonotope:
     def parallel_classes(self):
         """Groups of mutually parallel generators (each a tuple of indices): the closed 1-faces."""
         return [face.columns for face in self.generating_faces(1)]
-
-    def column(self, i):
-        return self.matrix[:, i]
 
     def center(self):
         """Center of symmetry, half the generator sum."""
@@ -297,12 +281,15 @@ class Zonotope:
 
     @cached_property
     def _column_space_basis(self):
-        """Orthonormal basis of the column space (identity-free when full rank)."""
+        """Orthonormal basis of the column space (identity-free when full rank).
+
+        It spans the first rank-r subset of the r-census, r = rank: the rule
+        by which every face takes its generating subset.
+        """
         if self.rank == self.n:
             return None
-        # near the cut greedy picks can outnumber the rank (a subset can rank
-        # above the whole set); the first ``rank`` of them span the basis
-        picked = numkit.independent_columns(self.directions, self.tol)[:self.rank]
+        combos, ranks = self.rank_census(self.rank)
+        picked = combos[np.argmax(ranks == self.rank)]
         q, _ = numkit.qr_decompose(self.directions[:, picked], self.tol)
         return q
 
@@ -375,22 +362,10 @@ class Zonotope:
         order.setflags(write=False)
         return order
 
-    @cached_property
-    def _geometric_records(self):
-        """GeometricFacet records, one per bounding facet record, in ``_geometric_facets`` order."""
-        records = self._facet_records
-        return [
-            GeometricFacet(
-                constituents=[records[i]],
-                unit_normal=records[i].unit_normal.copy(),
-                support=records[i].support,
-                volume=float(records[i].volume),
-            )
-            for i in self._geometric_facets.tolist()
-        ]
-
     def geometric_facets(self):
-        return list(self._geometric_records)
+        """The bounding facet records in ``_geometric_facets`` order: each one is one actual facet."""
+        records = self._facet_records
+        return [records[i] for i in self._geometric_facets.tolist()]
 
     def facet_signature(self):
         """Canonical multiset of (sign-normalized unit normal, facet volume).

@@ -10,7 +10,8 @@ whose faces come out wrong when rank cuts depend on each submatrix's largest
 entry rather than on the column directions. ``near_cut_default_tol`` and
 ``near_cut_wide_tol`` are rank-3 matrices near the rank cut on which vertex
 enumeration by facet sub-zonotopes never ended; ``near_cut_rank_deficient``
-is a rank-2 matrix in R^3 whose column-space basis has three columns.
+is a rank-2 matrix in R^3 on which greedy independent columns outnumber
+the rank.
 ``long_sums`` has facet translations and facet volumes that add 8 or more
 terms.
 """
@@ -111,9 +112,10 @@ def near_cut_wide_tol():
 def near_cut_rank_deficient():
     """3x5 of rank 2 at the default tolerance, with a third row of size 1e-9.
 
-    Columns 0 and 1 are within 1e-6 of parallel. Greedy ``independent_columns``
-    picks three columns, so the column-space basis does not match the rank and
-    the facet table cannot be built.
+    Columns 0 and 1 are within 1e-6 of parallel. A greedy left-to-right pick
+    of independent columns takes three of them, more than the rank, so a
+    column-space basis on those picks could not build the facet table; the
+    first rank-2 pair of the 2-census, columns 0 and 1, can.
     """
     return np.array(
         [

@@ -360,10 +360,23 @@ def loop_sign_normalize(v, tol):
     return v.copy()
 
 
+def independent_columns(m, tol):
+    """Greedy left-to-right maximal independent column subset (0-based indices), one rank call per column."""
+    from zonokit.numkit import rank
+
+    a = np.asarray(m, dtype=float)
+    picked = []
+    for j in range(a.shape[1]):
+        if rank(a[:, picked + [j]], tol) == len(picked) + 1:
+            picked.append(j)
+    return picked
+
+
 def loop_bounding_facets(z):
     """Both sides of every generating facet, one cross product per face.
 
-    The cross product is taken over the face's greedy independent columns.
+    The column-space basis and each face's cross product are taken over
+    greedy independent columns (:func:`independent_columns`).
     """
     from zonokit import numkit
     from zonokit.zonotope import BoundingFacet
@@ -372,12 +385,12 @@ def loop_bounding_facets(z):
     dirs = directions(z.matrix)
     basis = None
     if r < z.n:
-        picked = numkit.independent_columns(dirs, z.tol)
+        picked = independent_columns(dirs, z.tol)
         basis, _ = numkit.qr_decompose(dirs[:, picked], z.tol)
     coords = z.matrix if basis is None else basis.T @ z.matrix
     facets = []
     for face in loop_generating_faces(z, r - 1):
-        picked = numkit.independent_columns(dirs[:, face.columns], z.tol)
+        picked = independent_columns(dirs[:, face.columns], z.tol)
         normal = numkit.cross_product([coords[:, face.columns[j]] for j in picked])
         if basis is not None:
             normal = basis @ normal
@@ -687,14 +700,12 @@ def mask_off_mesh(z):
     for i, s in enumerate(signs):
         indicator[i, list(s)] = True
     for f in facets:
-        # vertex S lies on the facet iff S minus the facet's columns is a side's sign set
-        on = np.zeros(len(signs), dtype=bool)
-        for bf in f.constituents:
-            free = np.zeros(z.k, dtype=bool)
-            free[list(bf.generating.columns)] = True
-            side = np.zeros(z.k, dtype=bool)
-            side[list(bf.translation_set)] = True
-            on |= np.all((indicator == side) | free, axis=1)
+        # vertex S lies on the facet iff S minus the facet's columns is its sign set
+        free = np.zeros(z.k, dtype=bool)
+        free[list(f.generating.columns)] = True
+        side = np.zeros(z.k, dtype=bool)
+        side[list(f.translation_set)] = True
+        on = np.all((indicator == side) | free, axis=1)
         members = np.flatnonzero(on).tolist()
         u = f.unit_normal
         seed_axis = np.argmin(np.abs(u))

@@ -175,6 +175,40 @@ class TestVolumeCommand:
         assert "792/792 subsets independent" in capsys.readouterr().out
         assert sum(measured) == comb(12, 5) == 792
 
+    def test_census_reads_directions(self, tmp_path, capsys):
+        # a long column does not raise the cut for the others: each minor is
+        # measured against its columns' lengths, not the largest entry
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, [[1000, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+        assert cli.main(["volume", str(p)]) == 0
+        assert capsys.readouterr().out == "rank 3, volume 3001, 4/4 subsets independent\n"
+
+    def test_census_near_cut_agrees_with_the_rank_census(self, tmp_path, capsys):
+        # 72 independent triples, as many as the tiling has tiles
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, near_cut_default_tol())
+        assert cli.main(["volume", str(p)]) == 0
+        assert "72/84 subsets independent" in capsys.readouterr().out
+        assert np.count_nonzero(Zonotope(near_cut_default_tol()).rank_census(3)[1] == 3) == 72
+
+    def test_census_equals_the_rank_census(self, tmp_path, capsys):
+        rng = np.random.default_rng(136)
+        p = tmp_path / "m.json"
+        for trial in range(60):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(n, n + 5))
+            if trial % 2:  # integer entries, some columns parallel
+                a = rng.integers(-2, 3, size=(n, k)).astype(float)
+                a[0, ~a.any(axis=0)] = 1.0
+                a[:, -1] = -2.0 * a[:, 0]
+            else:  # column scales 10^U(-4, 4)
+                a = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, size=k)
+            write_json_matrix(p, a)
+            assert cli.main(["volume", str(p)]) == 0
+            z = Zonotope(a)
+            want = int(np.count_nonzero(z.rank_census(n)[1] == n)) if z.rank == n else 0
+            assert f"{want}/{comb(k, n)} subsets independent" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "rows", [[[1, 2, 3], [2, 4, 6]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]], ids=["rank1-in-R2", "rank2-in-R3"]
     )
@@ -193,6 +227,24 @@ class TestVolumeCommand:
         p.write_text("1 2 -0.5\n")
         assert cli.main(["volume", str(p), "--mc-samples", "100"]) == 0
         assert "mc-volume 3.5 (100 samples)" in capsys.readouterr().out
+
+
+class TestZeroGenerators:
+    """Stripped zero generators are reported on stderr in the CLI's own style."""
+
+    @pytest.mark.parametrize(
+        "command, err",
+        [
+            ("volume", ""),
+            ("tile", ""),
+            ("mesh", "mesh export needs rank 3 in R^3, got rank 2 in R^2\n"),
+        ],
+    )
+    def test_warning_line(self, command, err, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, [[1, 0, 2], [0, 0, 1]])
+        cli.main([command, str(p), "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err == "warning: stripped zero generators at columns (1,)\n" + err
 
 
 class TestCongruentCommand:
@@ -361,18 +413,17 @@ class TestTileJson:
 
 
 class TestFacetRecordsOnRequest:
-    """tile and mesh read the facet table, never the BoundingFacet or GeometricFacet records."""
+    """tile and mesh read the facet table, never the BoundingFacet records."""
 
     def count(self, monkeypatch):
         counts = {"records": 0, "volumes": 0}
-        for cls in (zonotope.BoundingFacet, zonotope.GeometricFacet):
-            init = cls.__init__
+        init = zonotope.BoundingFacet.__init__
 
-            def counted(self, *args, _init=init, **kwargs):
-                counts["records"] += 1
-                _init(self, *args, **kwargs)
+        def counted(self, *args, **kwargs):
+            counts["records"] += 1
+            init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(zonotope.BoundingFacet, "__init__", counted)
         face_volumes = zonotope._face_volumes
 
         def counted_volumes(*args):
@@ -407,8 +458,11 @@ class TestFacetRecordsOnRequest:
             assert np.array_equal(bf.unit_normal, table.units[row])
             assert bf.translation_set == tuple(np.flatnonzero(table.sides[row]).tolist())
             assert bf.support == table.supports[row]
-        assert [f.constituents[0] for f in z.geometric_facets()] == [records[i] for i in z._geometric_facets]
-        assert all(a is b for a, b in zip(z.geometric_facets(), z.geometric_facets()))
+        # geometric facets are the same records in geometric-facet order, the same objects on every call
+        facets = z.geometric_facets()
+        assert len(facets) == len(records)
+        assert all(f is records[i] for f, i in zip(facets, z._geometric_facets.tolist()))
+        assert all(a is b for a, b in zip(facets, z.geometric_facets()))
 
 
 class TestSignMasks:

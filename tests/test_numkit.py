@@ -15,7 +15,6 @@ from zonokit.numkit import (
     cross_product,
     determinant,
     gram,
-    independent_columns,
     qr_decompose,
     rank,
     rank_batch,
@@ -201,6 +200,8 @@ class TestRankBatch:
 
 
 class TestSubsetDeterminants:
+    """``subset_measures`` over every subset of one size, against the one-det-per-subset loop."""
+
     def test_equals_loop_reference(self):
         rng = np.random.default_rng(23)
         for trial in range(80):
@@ -210,19 +211,20 @@ class TestSubsetDeterminants:
             if trial % 2:
                 a = rng.integers(-2, 3, size=(n, k)).astype(float)
             for size in range(n + 1):
-                got = list(numkit.subset_determinants(a, size))
-                assert got == list(oracles.loop_subset_determinants(a, size))
-                assert all(type(d) is float for _, d in got)
+                combos = numkit.subsets(k, size)
+                want = list(oracles.loop_subset_determinants(a, size))
+                assert [tuple(c) for c in combos.tolist()] == [c for c, _ in want]
+                assert numkit.subset_measures(a, combos).tolist() == [d for _, d in want]
 
     def test_chunks_give_the_same_pairs(self, monkeypatch):
         a = np.random.default_rng(24).normal(size=(3, 8))
-        whole = [list(numkit.subset_determinants(a, s)) for s in (2, 3)]
+        whole = [numkit.subset_measures(a, numkit.subsets(8, s)).tolist() for s in (2, 3)]
         monkeypatch.setattr(numkit, "SUBSET_BATCH", 5)
-        assert [list(numkit.subset_determinants(a, s)) for s in (2, 3)] == whole
+        assert [numkit.subset_measures(a, numkit.subsets(8, s)).tolist() for s in (2, 3)] == whole
 
     def test_size_above_rows_rejected(self):
         with pytest.raises(DimensionError):
-            list(numkit.subset_determinants(np.eye(2), 3))
+            numkit.subset_measures(np.ones((2, 4)), numkit.subsets(4, 3))
 
 
 class TestRankCensus:
@@ -422,7 +424,10 @@ class TestSignedCompound:
 
 class TestHelpers:
     def test_independent_columns(self):
-        assert independent_columns(A0) == [0, 1, 3]
+        # the greedy reference picks the first independent subset of the census
+        assert oracles.independent_columns(A0, Tolerance()) == [0, 1, 3]
+        combos, ranks = numkit.rank_census(A0, 3)
+        assert combos[np.argmax(ranks == 3)].tolist() == [0, 1, 3]
 
     def test_sign_normalize(self):
         assert np.allclose(sign_normalize(np.array([-1.0, 2.0])), [1.0, -2.0])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import zonokit
 from zonokit import cli, tiling
-from zonokit.errors import CapacityError, DegeneracyError, DimensionError
+from zonokit.errors import CapacityError, DegeneracyError, DimensionError, ZonokitError
 from zonokit.numkit import Tolerance
 from zonokit.zonotope import VERTEX_ENUM_LIMIT, RankDeficiencyWarning, Zonotope, signatures_match
 
@@ -230,10 +230,6 @@ class TestGeometricFacets:
         gfs = Zonotope(a).geometric_facets()
         assert len(gfs) == len(oracles.support_facets(a)) == 20
 
-    def test_volume_is_constituent_sum(self):
-        for gf in Zonotope(A0).geometric_facets():
-            assert gf.volume == pytest.approx(sum(bf.volume for bf in gf.constituents))
-
     def test_parallelogram_facet_lower_bound(self):
         # every rank-3 zonotope with >= 3 pairwise independent generators has
         # at least 6 facets whose generating face has exactly 2 directions
@@ -243,7 +239,7 @@ class TestGeometricFacets:
             paras = [
                 f
                 for f in z.geometric_facets()
-                if count_parallel_classes(z.matrix, f.constituents[0].generating.columns) == 2
+                if count_parallel_classes(z.matrix, f.generating.columns) == 2
             ]
             assert len(paras) >= 6
 
@@ -256,7 +252,7 @@ class TestGeometricFacets:
             want = sorted(
                 z.bounding_facets(), key=lambda bf: (tuple(np.round(bf.unit_normal, 9)), round(bf.support, 9))
             )
-            assert [f.constituents[0] for f in z.geometric_facets()] == want
+            assert z.geometric_facets() == want
 
 
 class TestVolume:
@@ -629,8 +625,8 @@ class TestVertices:
 
     def test_near_cut_rank_deficient(self):
         # the top level comes from the facet table, as at full rank; greedy
-        # independent columns pick three columns at rank 2, and the column-space
-        # basis keeps the first two
+        # independent columns pick three columns at rank 2, while the
+        # column-space basis spans the census's first rank-2 pair
         z = Zonotope(near_cut_rank_deficient())
         assert z.rank == 2 and len(z.vertices()) == 10
         assert "_bounding_facets" in vars(z)
@@ -639,7 +635,8 @@ class TestVertices:
 
     def test_near_cut_rank_deficient_facets(self):
         # greedy independent columns pick three columns at rank 2; the basis
-        # keeps the first two, so the facet table builds and agrees with the vertices
+        # spans the census's first rank-2 pair, so the facet table builds and
+        # agrees with the vertices
         z = Zonotope(near_cut_rank_deficient())
         facets = z.bounding_facets()
         assert len(facets) == 10
@@ -647,6 +644,18 @@ class TestVertices:
         assert len(points) == 10
         for bf in facets:
             assert abs(np.max(points @ bf.unit_normal) - bf.support) <= 1e-12
+
+    @pytest.mark.parametrize("query", ["bounding_facets", "geometric_facets", "facet_signature", "vertices"])
+    def test_rank_deficient_short_greedy_basis(self, query):
+        # rank 3 in R^4, but greedy independent columns pick only two, too few
+        # to span the column space; each query answers or refuses with a ZonokitError
+        a = np.array([[0, -1, 1, -1], [2, 3, -2, -3], [2e-9, 1e-9, 3e-9, 0], [0, 0, 0, 0]])
+        z = Zonotope(a)
+        assert z.rank == 3 and oracles.independent_columns(z.directions, z.tol) == [0, 1]
+        try:
+            getattr(z, query)()
+        except ZonokitError:
+            pass  # refusing the input is an answer; only a foreign exception fails
 
     def test_no_lp_solver_import(self):
         script = (
