@@ -24,7 +24,7 @@ from .errors import (
     NoRealRootError,
     ZonokitError,
 )
-from .numkit import Tolerance, as_matrix, subsets
+from .numkit import Tolerance, as_matrix
 from .zonotope import RankDeficiencyWarning, Zonotope
 
 EXIT_OK = 0
@@ -147,8 +147,7 @@ def matrix_to_dict(m):
     }
 
 
-def _write_json(payload, path):
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -201,7 +200,7 @@ def cmd_volume(args, tol):
     indep = 0
     if z.rank == z.n:
         # a subset is independent iff its unit directions are: |minor| over its column norms' product
-        norms = np.linalg.norm(z.matrix, axis=0)[subsets(z.k, z.n)].prod(axis=1)
+        norms = np.linalg.norm(z.matrix, axis=0)[z.subsets(z.n)].prod(axis=1)
         indep = int(np.count_nonzero(np.abs(z.subset_measures(z.n)) / norms > tol.threshold(1.0)))
     if z.rank < z.n:
         print(f"warning: rank {z.rank} < dimension {z.n}; reporting the {z.rank}-volume", file=sys.stderr)
@@ -257,9 +256,10 @@ def cmd_congruent(args, tol):
         "q": matrix_to_dict(witness.q),
         "residual": residual,
     }
-    print(json.dumps(payload, indent=2))
+    text = json.dumps(payload, indent=2)
+    print(text)
     if args.out:
-        _write_json(payload, args.out)
+        _write(args.out, text + "\n")
     print(f"congruent, residual {_fmt(residual)}")
     return EXIT_OK
 
@@ -284,9 +284,7 @@ def cmd_tile(args, tol):
         "volume_sum": report.volume_sum,
         "expected_volume": report.expected_volume,
     }
-    out = args.out or "tiling.json"
-    with open(out, "w") as fh:
-        fh.write(_tiling_json(payload) + "\n")
+    _write(args.out or "tiling.json", _tiling_json(payload) + "\n")
     print(f"{len(til.tiles)} tiles, volume {_fmt(report.volume_sum)}, validation {'pass' if report.ok else 'FAIL'}")
     if not report.ok:
         return EXIT_NEGATIVE
@@ -306,8 +304,7 @@ def cmd_root(args, tol):
         print(f"no real root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
     payload = matrix_to_dict(result.root)
-    out = args.out or "root.json"
-    _write_json(payload, out)
+    _write(args.out or "root.json", json.dumps(payload, indent=2) + "\n")
     print(f"residual {_fmt(result.residual)}")
     return EXIT_OK
 
@@ -323,8 +320,7 @@ def cmd_mesh(args, tol):
         print(f"mesh: {exc}; the faces are near the rank cut, try another --tol-rel", file=sys.stderr)
         return EXIT_MESH_RANK
     out = args.out or "mesh.off"
-    with open(out, "w") as fh:
-        fh.write(text)
+    _write(out, text)
     verts, faces = text.split("\n", 2)[1].split()[:2]
     print(f"wrote {out}: {verts} vertices, {faces} faces")
     return EXIT_OK
@@ -339,53 +335,54 @@ def off_mesh(z):
 
     Each facet's polygon is the vertex cycle of its closed 2-face
     (``Zonotope._cycles``) joined with the facet's translation set, reversed
-    when the cycle's frame normal e1 x e2 opposes the outward normal; all
-    polygons are one array of sign masks, matched to the vertices' masks by
-    one sorted search. A polygon starts at the vertex with the smallest
-    angle atan2(. b2, . b1) about the centroid of its vertices, b1 being the
-    coordinate axis least aligned with the normal u made orthogonal to u and
-    b2 = u x b1. Raises :class:`MeshSurfaceError` unless every edge lies in
-    exactly two polygons, once in each direction, and V - E + F = 2.
+    when the cycle's frame normal e1 x e2 opposes the outward normal; one
+    index array gathers all polygons from the stacked cycles, and one sorted
+    search matches their sign masks to the vertices' masks. A polygon starts
+    at the vertex with the smallest angle atan2(. b2, . b1) about the
+    centroid of its vertices, ties to the smallest vertex index, b1 being
+    the coordinate axis least aligned with the normal u made orthogonal to u
+    and b2 = u x b1. Every step runs over all polygons at once. Raises
+    :class:`MeshSurfaceError` unless every edge lies in exactly two
+    polygons, once in each direction, and V - E + F = 2.
     """
     verts, masks = z._vertices["point"], z._vertices["mask"]
     table = z._bounding_facets
     order = z._geometric_facets
-    cycles = [z._cycles[table.faces[row // 2].columns] for row in order.tolist()]
-    frames = np.array([frame for _, frame in cycles])
+    rings, ring_starts, ring_sizes, frames = z._cycles
+    face = order // 2
     units = table.units[order]
-    reverse = np.sum(np.cross(frames[:, 0], frames[:, 1]) * units, axis=1) < 0.0
-    sizes = np.array([len(ring) for ring, _ in cycles])
+    reverse = np.sum(_cross(frames[face, 0], frames[face, 1]) * units, axis=1) < 0.0
+    sizes = ring_sizes[face]
     starts = np.cumsum(sizes) - sizes
-    signs = np.concatenate([ring[::-1] if r else ring for (ring, _), r in zip(cycles, reverse.tolist())])
-    signs |= np.repeat(table.masks[order], sizes)
+    # slot j of polygon f: its face's ring read forwards, or backwards when reversed
+    polygon = np.repeat(np.arange(len(order)), sizes)
+    at = np.arange(len(polygon)) - starts[polygon]
+    pick = np.where(reverse[polygon], sizes[polygon] - 1 - at, at)
+    signs = rings[ring_starts[face][polygon] + pick] | table.masks[order][polygon]
     by_mask = np.argsort(masks)
     polygons = by_mask[np.searchsorted(masks, signs, sorter=by_mask)]
     # each polygon vertex's successor, the last one's being the polygon's first
-    first = np.repeat(starts, sizes)
-    following = polygons[first + (np.arange(len(polygons)) - first + 1) % np.repeat(sizes, sizes)]
+    following = polygons[starts[polygon] + (at + 1) % sizes[polygon]]
     _check_sphere(len(verts), len(sizes), polygons, following)
-    # b1, b2 and each polygon's centroid over its vertices in ascending index
-    # order, as one (.., 1, 3) @ (.., 3, 1) matmul stack: one dot per row, the
-    # same values as one facet at a time
     seed_axis = np.argmin(np.abs(units), axis=1)
     b1 = np.zeros_like(units)
     b1[np.arange(len(units)), seed_axis] = 1.0
     b1 = b1 - units * _rowdot(units, b1)[:, None]
     b1 = b1 / np.sqrt(_rowdot(b1, b1))[:, None]
-    b2 = np.cross(units, b1)
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        slots = starts[rows, None] + np.arange(size)
-        ring = polygons[slots]
-        centroids = verts[np.sort(ring, axis=1)].mean(axis=1)
-        offsets = verts[ring] - centroids[:, None, :]
-        ys = np.matmul(offsets[:, :, None, :], b2[rows, None, :, None]).ravel().tolist()
-        xs = np.matmul(offsets[:, :, None, :], b1[rows, None, :, None]).ravel().tolist()
-        keys = np.reshape(list(map(math.atan2, ys, xs)), ring.shape)
-        # the smallest key, ties to the smallest vertex index
-        lowest = keys == keys.min(axis=1, keepdims=True)
-        begin = np.where(lowest, ring, len(verts)).argmin(axis=1)
-        polygons[slots] = np.take_along_axis(ring, (begin[:, None] + np.arange(size)) % size, axis=1)
+    b2 = _cross(units, b1)
+    # each centroid adds its polygon's vertices one after another in ascending
+    # index order from +0.0, as mean does; 0.0 turns a -0.0 sum into +0.0
+    ascending = np.sort(polygon * len(verts) + polygons) % len(verts)
+    centroids = (np.add.reduceat(verts[ascending], starts) + 0.0) / sizes[:, None]
+    offsets = verts[polygons] - centroids[polygon]
+    ys, xs = _rowdot(offsets, b2[polygon]).tolist(), _rowdot(offsets, b1[polygon]).tolist()
+    keys = np.array(list(map(math.atan2, ys, xs)))
+    # each polygon starts at the first slot holding the smallest key's smallest vertex index
+    lowest = keys == np.minimum.reduceat(keys, starts)[polygon]
+    slots = len(polygons)
+    codes = np.where(lowest, polygons * slots + np.arange(slots), len(verts) * slots)
+    begin = np.minimum.reduceat(codes, starts) % slots - starts
+    polygons = polygons[starts[polygon] + (at + begin[polygon]) % sizes[polygon]]
     lines = {size: str(size) + " %d" * size + "\n" for size in np.unique(sizes).tolist()}
     return (
         f"OFF\n{len(verts)} {len(sizes)} 0\n"
@@ -397,6 +394,12 @@ def off_mesh(z):
 def _rowdot(a, b):
     """Row-wise dot products of two (m, n) arrays, one BLAS dot per row."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _cross(a, b):
+    """Row-wise cross products of two (m, 3) arrays: the products and differences ``np.cross`` takes."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
 
 
 def _check_sphere(vertices, faces, tails, heads):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-# Subsets per stacked call in subset_measures, rank_census and the face closures:
+# Subsets per stacked call in subset_measures, subset_ranks and the face closures:
 # bounds the temporary stacks of wide inputs without splitting desk-scale ones.
 SUBSET_BATCH = 8192
 
@@ -90,7 +90,7 @@ def rank(m, tol=DEFAULT_TOL):
     A pivot counts iff |pivot| > tol.abs + tol.rel * (largest |entry| of the
     input); the threshold is fixed at elimination start for reproducibility.
     """
-    a = as_matrix(m).copy()
+    a = as_matrix(m)
     if a.size == 0:
         return 0
     cut = tol.threshold(np.abs(a).max())
@@ -193,32 +193,61 @@ def rank_census(m, size, tol=DEFAULT_TOL):
     """(subsets, ranks): every ``size``-column subset of ``m`` and its rank.
 
     The subsets come in lexicographic order (:func:`subsets`), so
-    :func:`subset_index` finds a subset's rank. Runs of up to
-    ``SUBSET_BATCH`` subsets are one :func:`rank_batch` each; a slice's rank
-    does not depend on the slices beside it.
+    :func:`subset_index` finds a subset's rank.
     """
     a = as_matrix(m)
     combos = subsets(a.shape[1], size)
-    ranks = np.zeros(len(combos), dtype=int)
-    for start in range(0, len(combos), SUBSET_BATCH):
-        ranks[start:start + SUBSET_BATCH] = rank_batch(column_subsets(a, combos[start:start + SUBSET_BATCH]), tol)
-    return combos, ranks
+    return combos, subset_ranks(a, [combos], tol)[0]
+
+
+def subset_ranks(m, tables, tol=DEFAULT_TOL):
+    """Rank of ``m[:, row]`` for every row of every (B, s) subset table, one int array per table.
+
+    All tables are ranked by one stacked :func:`rank_batch` (one per run of
+    ``SUBSET_BATCH`` rows): each n x s slice is zero-padded on the right to
+    the widest size. That leaves its rank exact. Zero columns change neither
+    the slice's largest entry (the cut) nor the row-major order of its real
+    entries, so they never win a pivot that passes the cut, and they leave
+    every update x - (c/p)x' of a real entry unchanged; once the s real
+    columns are eliminated only zeros remain, so the slice stops where the
+    unpadded one does. A slice's rank does not depend on the slices beside
+    it.
+    """
+    a = as_matrix(m)
+    width = max(t.shape[1] for t in tables)
+    # column k of the padded matrix is zero; every row is filled up with it
+    padded = np.concatenate([a, np.zeros((a.shape[0], 1))], axis=1)
+    ends = np.cumsum([len(t) for t in tables])
+    idx = np.full((ends[-1], width), a.shape[1])
+    for table, end in zip(tables, ends.tolist()):
+        idx[end - len(table):end, :table.shape[1]] = table
+    ranks = np.zeros(len(idx), dtype=int)
+    for start in range(0, len(idx), SUBSET_BATCH):
+        ranks[start:start + SUBSET_BATCH] = rank_batch(column_subsets(padded, idx[start:start + SUBSET_BATCH]), tol)
+    return np.split(ranks, ends[:-1])
 
 
 def column_sums(m, columns, mask):
     """(R, n) array whose row i is ``m[:, columns[i][mask[i]]].sum(axis=1)``.
 
-    ``columns`` broadcasts against the (R, p) boolean ``mask``. Rows with
-    equally many chosen columns are summed together along the last axis,
-    which numpy adds in the same order as it adds one row's columns alone,
-    so every row is bit-identical to the one-row sum; empty rows give zero.
+    ``columns`` broadcasts against the (R, p) boolean ``mask``. numpy adds
+    fewer than 8 terms one after another from +0.0, so rows with 1 to 7
+    chosen columns are one cumulative sum over the mask's columns in order,
+    -0.0 standing for the unchosen ones (x + -0.0 is x), plus 0.0. Longer
+    rows with equally many chosen columns are summed together along the last
+    axis, which numpy adds in the same order as it adds one row's columns
+    alone. Every row is bit-identical to the one-row sum; empty rows give zero.
     """
     a = as_matrix(m)
     mask = np.asarray(mask, dtype=bool)
     columns = np.broadcast_to(columns, mask.shape)
     lengths = mask.sum(axis=1)
     sums = np.zeros((len(mask), a.shape[0]))
-    for length in np.unique(lengths[lengths > 0]).tolist():
+    rows = np.flatnonzero((lengths > 0) & (lengths < 8))
+    if rows.size:
+        terms = np.where(mask[rows], a[:, columns[rows]], -0.0)
+        sums[rows] = terms.cumsum(axis=2)[:, :, -1].T + 0.0
+    for length in np.unique(lengths[lengths >= 8]).tolist():
         rows = np.flatnonzero(lengths == length)
         # a boolean mask reads row by row, so each row keeps its columns' order
         chosen = columns[rows][mask[rows]].reshape(len(rows), length)

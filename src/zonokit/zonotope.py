@@ -159,18 +159,42 @@ class Zonotope:
         return {}
 
     @cached_property
+    def _subsets(self):
+        return {}
+
+    def subsets(self, s):
+        """Read-only ``numkit.subsets(k, s)``: the s-subsets of the columns in lexicographic order.
+
+        Each size is built once and cached; ``rank_census``,
+        ``subset_measures`` and the volume command's census all read it.
+        """
+        if s not in self._subsets:
+            table = numkit.subsets(self.k, s)
+            table.setflags(write=False)
+            self._subsets[s] = table
+        return self._subsets[s]
+
+    @cached_property
     def _censuses(self):
         return {}
 
     def rank_census(self, s):
         """(subsets, ranks): every s-subset of the columns and its rank on ``directions``.
 
-        The subsets come in lexicographic order (``numkit.subsets``), so
-        ``numkit.subset_index`` finds a subset's rank. Each size is ranked
-        once and cached; faces, facets and tilings all read it.
+        The subsets are ``subsets(s)``, so ``numkit.subset_index`` finds a
+        subset's rank. Each size is ranked once and cached; faces, facets and
+        tilings all read it. A face closure at level t reads sizes t and
+        t + 1, so the levels from s up read every size from s to the rank,
+        and the facet closures, which the tiling's validation reads too, read
+        rank - 1 and rank. The first request ranks s with every size from
+        the lower of s and rank - 1 to the rank not yet ranked, in one
+        ``numkit.subset_ranks`` call.
         """
         if s not in self._censuses:
-            self._censuses[s] = numkit.rank_census(self.directions, s, self.tol)
+            sizes = sorted({s, *range(max(min(s, self.rank - 1), 1), self.rank + 1)} - self._censuses.keys())
+            tables = [self.subsets(t) for t in sizes]
+            ranks = numkit.subset_ranks(self.directions, tables, self.tol)
+            self._censuses.update(zip(sizes, zip(tables, ranks)))
         return self._censuses[s]
 
     @cached_property
@@ -178,13 +202,13 @@ class Zonotope:
         return {}
 
     def subset_measures(self, s):
-        """Read-only ``numkit.subset_measures`` of every s-subset, in ``rank_census`` order.
+        """Read-only ``numkit.subset_measures`` of every subset in ``subsets(s)``.
 
         Each size is computed once and cached; volumes, the volume command's
         census and the tiling's signs all read it.
         """
         if s not in self._measures:
-            table = numkit.subset_measures(self.matrix, numkit.subsets(self.k, s))
+            table = numkit.subset_measures(self.matrix, self.subsets(s))
             table.setflags(write=False)
             self._measures[s] = table
         return self._measures[s]
@@ -379,40 +403,46 @@ class Zonotope:
 
     # -- vertices ---------------------------------------------------------
 
-    def _flat_sign_vectors(self, flat, s, memo):
-        """Vertex sign masks of the face on the closed column set ``flat`` of rank s, as an int64 array.
+    def _flat_sign_vectors(self, s, row, memo):
+        """Vertex sign masks of the closed s-face ``generating_faces(s)[row]``, as an int64 array.
 
-        At the top (``flat`` all columns, s = rank >= 2) every vertex is a
-        vertex of a bounding facet's closed face plus that facet's
-        translation set. A closed 2-face below the top gives its vertex cycle
-        (``_cycles``) and a parallel class its two ends. Otherwise the facets
-        of the face are the parent's closed (s-1)-faces G properly inside
-        ``flat``, and every vertex is a vertex of some G plus one side of
-        ``flat`` minus G: the columns whose residual off G's span points the
-        way of the first column's residual, or the others. The residuals
-        come from the level's stack (``_residuals``), so each flat costs one
-        mask test and one batched matmul. The top may repeat a mask; the
-        levels below it hold each once. ``memo`` maps (columns, rank) to the
-        result, so a face shared by several flats is enumerated once; a
-        column set can be closed at two ranks near the rank cut.
+        ``row`` None stands for all columns at s = rank >= 1. At that top,
+        every vertex is a vertex of a bounding facet's closed face plus that
+        facet's translation set; at rank 3 those faces' vertices are
+        ``_cycles``, whose rows are the facet table's faces. A closed
+        2-face below the top slices its vertex cycle from ``_cycles`` and a
+        parallel class gives its two ends. Otherwise the facets of the face
+        are the closed (s-1)-faces G properly inside it, and every vertex is
+        a vertex of some G plus one side of the face minus G: the columns
+        whose residual off G's span points the way of the first column's
+        residual, or the others. The residuals come from the level's stack
+        (``_residuals``), so each face costs one mask test and one batched
+        matmul. The top may repeat a mask; the levels below it hold each
+        once. ``memo`` maps (s, row) to the result, so a face shared by
+        several others is enumerated once; a column set can be closed at two
+        ranks near the rank cut.
         """
-        if (flat, s) in memo:
-            return memo[flat, s]
+        if (s, row) in memo:
+            return memo[s, row]
+        flat = tuple(range(self.k)) if row is None else self.generating_faces(s)[row].columns
         if s == self.rank >= 2:
-            table = self._bounding_facets
-            below = [self._flat_sign_vectors(face.columns, s - 1, memo) for face in table.faces]
+            if s == 3:
+                below, _, sizes, _ = self._cycles
+            else:
+                below = [self._flat_sign_vectors(s - 1, i, memo) for i in range(len(self.generating_faces(s - 1)))]
+                below, sizes = np.concatenate(below), [len(b) for b in below]
             # each face's vertices joined with the translation sets of its minus and plus sides
-            sides = np.repeat(table.masks.reshape(-1, 2), [len(b) for b in below], axis=0)
-            signs = (sides | np.concatenate(below)[:, None]).ravel()
+            sides = np.repeat(self._bounding_facets.masks.reshape(-1, 2), sizes, axis=0)
+            signs = (sides | below[:, None]).ravel()
         elif s == 2:
-            signs = self._cycles[flat][0]
+            rings, starts, sizes, _ = self._cycles
+            signs = rings[starts[row]:starts[row] + sizes[row]]
         elif s == 1:
             d = self.directions
             half = _mask(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
             signs = np.array([half, _mask(flat) ^ half])
         else:
             whole = _mask(flat)
-            faces = self.generating_faces(s - 1)
             masks, residuals = self._residuals[s - 1]
             # the closed (s-1)-faces G properly inside flat, and flat minus each G
             rows = np.flatnonzero((masks & ~whole == 0) & (masks != whole))
@@ -420,11 +450,11 @@ class Zonotope:
             off = residuals[rows]
             lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
             sides = _masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
-            below = [self._flat_sign_vectors(faces[i].columns, s - 1, memo) for i in rows.tolist()]
+            below = [self._flat_sign_vectors(s - 1, i, memo) for i in rows.tolist()]
             half = np.repeat(sides, [len(b) for b in below]) | np.concatenate([np.empty(0, np.int64), *below])
             # every face is centrally symmetric: the complement of a vertex is the opposite vertex
             signs = np.unique(np.concatenate([half, whole ^ half]))
-        memo[flat, s] = signs
+        memo[s, row] = signs
         return signs
 
     @cached_property
@@ -446,24 +476,26 @@ class Zonotope:
 
     @cached_property
     def _cycles(self):
-        """Vertex cycle of every closed 2-face: ``{columns: (sign masks, frame)}``.
+        """Vertex cycle of every closed 2-face, stacked in face-row order: ``(rings, starts, sizes, frames)``.
 
-        The frame's rows e1, e2 span the face's plane: e1 is the first column
-        of the face's generating pair, e2 the second made orthogonal to it.
-        Each closed 1-face properly inside the face is split into its two
-        halves (the columns pointing the way of its first column, and the
-        rest), and the angle of its first column in the frame is folded into
-        [0, pi), swapping the halves when it folds. From the union of the
-        second halves, the walk trades each class's second half for its
-        first in angle order; the complements of those m masks, in the same
-        order, close the cycle. Consecutive masks differ in one parallel
-        class, and the 2m of them run counter-clockwise from e1 towards e2.
-        Faces with equally many classes walk together, one array step per
-        class.
+        Face i's cycle is the ``sizes[i]`` sign masks of ``rings`` from
+        ``starts[i]``, and ``frames[i]`` holds the rows e1, e2 spanning its
+        plane: e1 is the first column of the face's generating pair, e2 the
+        second made orthogonal to it. Each closed 1-face properly inside the
+        face is split into its two halves (the columns pointing the way of
+        its first column, and the rest), and the angle of its first column
+        in the frame is folded into [0, pi), swapping the halves when it
+        folds. From the union of the second halves, the walk trades each
+        class's second half for its first in angle order; the complements of
+        those m masks, in the same order, close the cycle. Consecutive masks
+        differ in one parallel class, and the 2m of them run
+        counter-clockwise from e1 towards e2. All faces walk together, one
+        array step per class of the largest face.
         """
         d = self.directions
-        faces = self.generating_faces(2)
+        # level 1 first: its census request ranks every size up to the rank at once
         self.generating_faces(1)
+        self.generating_faces(2)
         _, pairs, planes = self._face_cache[2]
         _, _, lines = self._face_cache[1]
         e1 = d[:, pairs[:, 0]].T
@@ -483,19 +515,17 @@ class Zonotope:
         first = np.take_along_axis(firsts ^ np.where(flipped, classes, 0), order, axis=1)
         second = first ^ classes[order]
         counts = inner.sum(axis=1)
-        frames = np.stack([e1, e2], axis=1)
-        cycles = {}
-        for m in np.unique(counts).tolist():
-            rows = np.flatnonzero(counts == m)
-            v = np.bitwise_or.reduce(second[rows, :m], axis=1)
-            walk = np.empty((len(rows), m), dtype=np.int64)
-            for step in range(m):
-                walk[:, step] = v
-                v = (v & ~second[rows, step]) | first[rows, step]
-            rings = np.concatenate([walk, flats[rows, None] ^ walk], axis=1)
-            for f, ring in zip(rows.tolist(), rings):
-                cycles[faces[f].columns] = (ring, frames[f])
-        return cycles
+        # a face's walk past its own m classes is never read
+        taken = np.arange(counts.max()) < counts[:, None]
+        v = np.bitwise_or.reduce(np.where(taken, second[:, :taken.shape[1]], 0), axis=1)
+        walk = np.empty(taken.shape, dtype=np.int64)
+        for step in range(taken.shape[1]):
+            walk[:, step] = v
+            v = (v & ~second[:, step]) | first[:, step]
+        sizes = 2 * counts
+        # each face's m walk steps, then their complements in the same order
+        rings = np.concatenate([walk, flats[:, None] ^ walk], axis=1)[np.concatenate([taken, taken], axis=1)]
+        return rings, np.cumsum(sizes) - sizes, sizes, np.stack([e1, e2], axis=1)
 
     @cached_property
     def _vertices(self):
@@ -505,7 +535,7 @@ class Zonotope:
         """
         if self.k > VERTEX_ENUM_LIMIT:
             raise CapacityError(f"vertex enumeration capped at k = {VERTEX_ENUM_LIMIT}")
-        masks = np.unique(self._flat_sign_vectors(tuple(range(self.k)), self.rank, {}))
+        masks = np.unique(self._flat_sign_vectors(self.rank, None, {}))
         points = _columns_of(masks, self.k).astype(float) @ self.matrix.T
         order = np.lexsort(points.T[::-1])
         records = np.empty(len(masks), dtype=[("point", float, (self.n,)), ("mask", np.int64)])

@@ -175,6 +175,24 @@ class TestVolumeCommand:
         assert "792/792 subsets independent" in capsys.readouterr().out
         assert sum(measured) == comb(12, 5) == 792
 
+    def test_one_subset_table_per_command(self, tmp_path, monkeypatch, capsys):
+        # the minor table and the column-norm products read one table of the 5-subsets
+        p = tmp_path / "m.json"
+        write_json_matrix(p, np.random.default_rng(12).normal(size=(5, 12)))
+        built = []
+        original = numkit.subsets
+
+        def counted(k, size):
+            built.append((k, size))
+            return original(k, size)
+
+        for module in (numkit, cli, tiling, zonotope):  # by-name imports too
+            if vars(module).get("subsets") is original:
+                monkeypatch.setattr(module, "subsets", counted)
+        assert cli.main(["volume", str(p)]) == 0
+        assert "792/792 subsets independent" in capsys.readouterr().out
+        assert built == [(12, 5)]
+
     def test_census_reads_directions(self, tmp_path, capsys):
         # a long column does not raise the cut for the others: each minor is
         # measured against its columns' lengths, not the largest entry
@@ -259,6 +277,9 @@ class TestCongruentCommand:
         out_file = tmp_path / "w.json"
         code = cli.main(["congruent", str(pa), str(pb), "--out", str(out_file)])
         assert code == 0
+        # the witness file is the printed JSON plus a newline
+        printed = capsys.readouterr().out
+        assert printed.startswith(out_file.read_text()) and printed.count("\n}\n") == 1
         payload = json.loads(out_file.read_text())
         assert payload["format_version"] == 1
         w = CongruenceWitness(
@@ -370,6 +391,28 @@ class TestTileCommand:
                 monkeypatch.setattr(module, "rank_batch", counted)
         assert cli.main(["tile", str(p), "--out", str(tmp_path / "t.json")]) == 0
         assert sum(ranked) == comb(8, 3) + comb(8, 4) == 126
+
+    @pytest.mark.parametrize(
+        "command, shape, slices",
+        [("mesh", (3, 9), comb(9, 1) + comb(9, 2) + comb(9, 3)), ("tile", (4, 8), comb(8, 3) + comb(8, 4))],
+    )
+    def test_one_rank_batch_call_per_command(self, command, shape, slices, tmp_path, monkeypatch):
+        # every census the faces, facets, vertices, tiles and validation read
+        # is ranked by one stacked call: sizes 1..3 for mesh, n - 1 and n for tile
+        p = tmp_path / "m.json"
+        write_json_matrix(p, np.random.default_rng(9).normal(size=shape))
+        ranked = []
+        original = numkit.rank_batch
+
+        def counted(stack, *args, **kwargs):
+            ranked.append(len(stack))
+            return original(stack, *args, **kwargs)
+
+        for module in (numkit, tiling, zonotope):  # by-name imports too
+            if vars(module).get("rank_batch") is original:
+                monkeypatch.setattr(module, "rank_batch", counted)
+        assert cli.main([command, str(p), "--out", str(tmp_path / "out")]) == 0
+        assert ranked == [slices]
 
     def test_segment(self, tmp_path, capsys):
         # a one-row matrix has no facets; containment is tested on [-0.5, 3]

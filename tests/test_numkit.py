@@ -252,6 +252,55 @@ class TestRankCensus:
         for row, cols, chosen in zip(sums, columns, mask):
             assert [x.hex() for x in row] == [x.hex() for x in a[:, cols[chosen]].sum(axis=1)]
 
+    def test_column_sums_short_and_long_rows_bit_for_bit(self):
+        # rows of 1-7 chosen columns take the cumulative sum, longer rows the grouped one
+        rng = np.random.default_rng(27)
+        long_rows = 0
+        for trial in range(300):
+            n, p = int(rng.integers(1, 5)), int(rng.integers(1, 14))
+            if trial % 3 == 0:  # signed zeros and small integers
+                a = rng.integers(-2, 3, size=(n, p)).astype(float)
+                a[rng.random((n, p)) < 0.4] = -0.0
+            elif trial % 3 == 1:  # columns that cancel exactly
+                b = rng.normal(size=(n, p // 2 + 1))
+                a = np.concatenate([b, -b], axis=1)[:, rng.permutation(p)]
+            else:
+                a = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-6, 6, size=p)
+            a[:, rng.random(p) < 0.2] = -0.0  # whole -0.0 columns
+            columns = np.stack([rng.permutation(p) for _ in range(6)]) if trial % 2 else np.arange(p)
+            mask = rng.random((6, p)) < rng.uniform(0.2, 1.0)
+            sums = numkit.column_sums(a, columns, mask)
+            long_rows += int(np.count_nonzero(mask.sum(axis=1) >= 8))
+            for row, cols, chosen in zip(sums, np.broadcast_to(columns, mask.shape), mask):
+                want = a[:, cols[chosen]].sum(axis=1)
+                assert row.tolist() == want.tolist() and np.signbit(row).tolist() == np.signbit(want).tolist()
+        assert long_rows > 0
+
+    def test_padded_census_equals_per_size_census(self):
+        # sizes of one stacked, zero-padded call rank as each size alone
+        rng = np.random.default_rng(28)
+        for trial in range(160):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(n, n + 4))
+            family = trial % 4
+            if family == 0:  # rank-deficient
+                r = int(rng.integers(1, n))
+                a = rng.normal(size=(n, r)) @ rng.integers(-2, 3, size=(r, k))
+            elif family == 1:  # one column within about 1e-9 of the span of two others
+                a = rng.normal(size=(n, k))
+                a[:, -1] = a[:, 0] + a[:, 1] + 10.0 ** rng.uniform(-11, -8) * rng.normal(size=n)
+            elif family == 2:  # entries in {-1, 0, 1}: ties under complete pivoting
+                a = rng.integers(-1, 2, size=(n, k)).astype(float)
+            else:  # a nearly parallel pair, decided at rel = 1e-3
+                a = rng.normal(size=(n, k))
+                a[:, 1] = 2.0 * a[:, 0] + 10.0 ** rng.uniform(-5, -2) * rng.normal(size=n)
+            tol = Tolerance(rel=1e-3) if family == 3 else Tolerance()
+            sizes = list(range(1, k + 1))
+            tables = [numkit.subsets(k, s) for s in sizes]
+            got = numkit.subset_ranks(a, tables, tol)
+            for s, ranks in zip(sizes, got):
+                assert ranks.tolist() == numkit.rank_census(a, s, tol)[1].tolist()
+
 
 class TestCrossProduct:
     def test_e1_e2_gives_e3(self):

@@ -699,8 +699,13 @@ class TestFaceCycles:
     def test_walk_steps_and_orientation(self, matrix):
         z = Zonotope(matrix)
         classes = {frozenset(f.columns) for f in z.generating_faces(1)}
+        rings, starts, sizes, frames = z._cycles
+        faces = z.generating_faces(2)
+        assert len(starts) == len(sizes) == len(frames) == len(faces) and len(rings) == sizes.sum()
         for bf in z.bounding_facets():
-            masks, (e1, e2) = z._cycles[bf.generating.columns]
+            # the cycles are stacked in face-row order
+            i = faces.index(bf.generating)
+            masks, (e1, e2) = rings[starts[i]:starts[i] + sizes[i]], frames[i]
             # bit j of a sign mask stands for column j
             cycle = [frozenset(j for j in range(z.k) if m >> j & 1) for m in masks.tolist()]
             assert len(set(cycle)) == len(cycle) >= 4
