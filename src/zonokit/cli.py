@@ -22,6 +22,7 @@ from .errors import (
     DegeneracyError,
     DimensionError,
     NoRealRootError,
+    ReconstructionError,
     ZonokitError,
 )
 from .numkit import Tolerance, as_matrix
@@ -302,6 +303,9 @@ def cmd_root(args, tol):
         return EXIT_NO_ROOT
     except NoRealRootError as exc:
         print(f"no real root: {exc}", file=sys.stderr)
+        return EXIT_NO_ROOT
+    except ReconstructionError as exc:
+        print(f"no verified root: {exc}", file=sys.stderr)
         return EXIT_NO_ROOT
     payload = matrix_to_dict(result.root)
     _write(args.out or "root.json", json.dumps(payload, indent=2) + "\n")

@@ -19,12 +19,12 @@ normal, translation set, translation and support as stacked arrays; the
 volumes, are built from it only on request, and ``geometric_facets`` returns
 the same records in geometric-facet order. Vertices are
 enumerated over the same closed faces: every vertex is a vertex of a facet
-plus that facet's translation set. A closed 2-face is a zonogon whose
-vertex cycle comes from one angular sort of its parallel classes, a closed
-face of higher rank takes the vertices of its closed faces one rank down
-plus one side of the rest, read from one stacked residual table per face
-level, and a parallel class has its two ends; no sub-zonotope, candidate
-point or linear program is involved.
+plus that facet's translation set. The closed faces get their vertices a
+level at a time, one stacked pass per level: a parallel class has its two
+ends, a closed 2-face is a zonogon whose vertex cycle comes from one
+angular sort of its parallel classes, and a higher face takes the vertices
+of its closed faces one rank down plus one side of the rest. No
+sub-zonotope, candidate point or linear program is involved.
 """
 
 from __future__ import annotations
@@ -403,76 +403,68 @@ class Zonotope:
 
     # -- vertices ---------------------------------------------------------
 
-    def _flat_sign_vectors(self, s, row, memo):
-        """Vertex sign masks of the closed s-face ``generating_faces(s)[row]``, as an int64 array.
-
-        ``row`` None stands for all columns at s = rank >= 1. At that top,
-        every vertex is a vertex of a bounding facet's closed face plus that
-        facet's translation set; at rank 3 those faces' vertices are
-        ``_cycles``, whose rows are the facet table's faces. A closed
-        2-face below the top slices its vertex cycle from ``_cycles`` and a
-        parallel class gives its two ends. Otherwise the facets of the face
-        are the closed (s-1)-faces G properly inside it, and every vertex is
-        a vertex of some G plus one side of the face minus G: the columns
-        whose residual off G's span points the way of the first column's
-        residual, or the others. The residuals come from the level's stack
-        (``_residuals``), so each face costs one mask test and one batched
-        matmul. The top may repeat a mask; the levels below it hold each
-        once. ``memo`` maps (s, row) to the result, so a face shared by
-        several others is enumerated once; a column set can be closed at two
-        ranks near the rank cut.
-        """
-        if (s, row) in memo:
-            return memo[s, row]
-        flat = tuple(range(self.k)) if row is None else self.generating_faces(s)[row].columns
-        if s == self.rank >= 2:
-            if s == 3:
-                below, _, sizes, _ = self._cycles
-            else:
-                below = [self._flat_sign_vectors(s - 1, i, memo) for i in range(len(self.generating_faces(s - 1)))]
-                below, sizes = np.concatenate(below), [len(b) for b in below]
-            # each face's vertices joined with the translation sets of its minus and plus sides
-            sides = np.repeat(self._bounding_facets.masks.reshape(-1, 2), sizes, axis=0)
-            signs = (sides | below[:, None]).ravel()
-        elif s == 2:
-            rings, starts, sizes, _ = self._cycles
-            signs = rings[starts[row]:starts[row] + sizes[row]]
-        elif s == 1:
-            d = self.directions
-            half = _mask(np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
-            signs = np.array([half, _mask(flat) ^ half])
-        else:
-            whole = _mask(flat)
-            masks, residuals = self._residuals[s - 1]
-            # the closed (s-1)-faces G properly inside flat, and flat minus each G
-            rows = np.flatnonzero((masks & ~whole == 0) & (masks != whole))
-            rest = _columns_of(whole ^ masks[rows], self.k)
-            off = residuals[rows]
-            lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
-            sides = _masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
-            below = [self._flat_sign_vectors(s - 1, i, memo) for i in rows.tolist()]
-            half = np.repeat(sides, [len(b) for b in below]) | np.concatenate([np.empty(0, np.int64), *below])
-            # every face is centrally symmetric: the complement of a vertex is the opposite vertex
-            signs = np.unique(np.concatenate([half, whole ^ half]))
-        memo[s, row] = signs
-        return signs
-
     @cached_property
-    def _residuals(self):
-        """``{s: (masks, residuals)}`` for every face level s in 2..rank-2.
+    def _vertex_levels(self):
+        """Vertex sign masks of the closed s-faces up to s = rank - 1, ``{s: (signs, starts, sizes)}``.
 
-        ``masks`` holds the closed s-faces' sign masks and ``residuals[i]``
-        the (n, k) residuals of every direction off the span of face i's
-        generating subset; one stacked QR per level.
+        Face i's masks are the ``sizes[i]`` entries of ``signs`` from
+        ``starts[i]``, in face-row order, the layout of ``_cycles``. The
+        levels start from the lowest one the top reads: at rank 2 level 1,
+        the two halves of each parallel class (:meth:`_halves`), and above
+        it level 2, the closed 2-faces' cycles from ``_cycles``. Above that,
+        the facets of a face F are the closed (s-1)-faces G properly inside
+        it, and every vertex of F is a vertex of some G plus one side of F
+        minus G: the columns whose residual off G's span points the way of
+        the first column's residual, or the others. Each such level is one
+        pass: one mask test finds every (F, G) pair, one stacked QR the
+        residuals off every G's generating subset, one batched matmul each
+        pair's side, one gather each G's masks, and one lexsort on (face,
+        mask) keeps each face's masks once, in ascending order.
         """
         d = self.directions
         levels = {}
-        for s in range(2, self.rank - 1):
+        if self.rank == 2:
+            self.generating_faces(1)
+            halves = np.stack(self._halves(self._face_cache[1][2]), axis=1)
+            levels[1] = halves.ravel(), np.arange(0, halves.size, 2), np.full(len(halves), 2)
+        elif self.rank > 2:
+            levels[2] = self._cycles[:3]
+        for s in range(3, self.rank):
+            below, starts, sizes = levels[s - 1]
             self.generating_faces(s)
-            _, bases, members = self._face_cache[s]
+            whole = _masks(self._face_cache[s][2])
+            _, bases, members = self._face_cache[s - 1]
+            masks = _masks(members)
             q, _ = np.linalg.qr(numkit.column_subsets(d, bases))
-            levels[s] = (_masks(members), d - q @ (np.swapaxes(q, 1, 2) @ d))
+            residuals = d - q @ (np.swapaxes(q, 1, 2) @ d)
+            # every closed (s-1)-face G properly inside each closed s-face F, F by F
+            face, rows = np.nonzero((masks & ~whole[:, None] == 0) & (masks != whole[:, None]))
+            rest = _columns_of(whole[face] ^ masks[rows], self.k)
+            off = residuals[rows]
+            lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
+            sides = _masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
+            # slot j of pair p: mask j of its G joined with its side
+            counts = sizes[rows]
+            pair = np.repeat(np.arange(len(rows)), counts)
+            at = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
+            half = sides[pair] | below[starts[rows][pair] + at]
+            owner = face[pair]
+            # every face is centrally symmetric: the complement of a vertex is the opposite vertex
+            signs = np.concatenate([half, whole[owner] ^ half])
+            owner = np.concatenate([owner, owner])
+            order = np.lexsort([signs, owner])
+            signs, owner = signs[order], owner[order]
+            new = np.ones(len(signs), dtype=bool)
+            new[1:] = (signs[1:] != signs[:-1]) | (owner[1:] != owner[:-1])
+            sizes = np.bincount(owner[new], minlength=len(whole))
+            levels[s] = signs[new], np.cumsum(sizes) - sizes, sizes
         return levels
+
+    def _halves(self, lines):
+        """Sign masks of each boolean row's two halves: its columns along its first column, and the rest."""
+        d = self.directions
+        firsts = _masks(lines & (d[:, lines.argmax(axis=1)].T @ d > 0.0))
+        return firsts, _masks(lines) ^ firsts
 
     @cached_property
     def _cycles(self):
@@ -482,15 +474,15 @@ class Zonotope:
         ``starts[i]``, and ``frames[i]`` holds the rows e1, e2 spanning its
         plane: e1 is the first column of the face's generating pair, e2 the
         second made orthogonal to it. Each closed 1-face properly inside the
-        face is split into its two halves (the columns pointing the way of
-        its first column, and the rest), and the angle of its first column
-        in the frame is folded into [0, pi), swapping the halves when it
-        folds. From the union of the second halves, the walk trades each
-        class's second half for its first in angle order; the complements of
-        those m masks, in the same order, close the cycle. Consecutive masks
-        differ in one parallel class, and the 2m of them run
-        counter-clockwise from e1 towards e2. All faces walk together, one
-        array step per class of the largest face.
+        face has its two halves (:meth:`_halves`, the rule of vertex level
+        1), and the angle of its first column in the frame is folded into
+        [0, pi), swapping the halves when it folds. From the union of the
+        second halves, the walk trades each class's second half for its
+        first in angle order; the complements of those m masks, in the same
+        order, close the cycle. Consecutive masks differ in one parallel
+        class, and the 2m of them run counter-clockwise from e1 towards e2.
+        All faces walk together, one array step per class of the largest
+        face.
         """
         d = self.directions
         # level 1 first: its census request ranks every size up to the rank at once
@@ -503,9 +495,8 @@ class Zonotope:
         e2 = e2 - e1 * np.sum(e1 * e2, axis=1)[:, None]
         e2 /= np.linalg.norm(e2, axis=1)[:, None]
         heads = lines.argmax(axis=1)
-        classes, flats = _masks(lines), _masks(planes)
-        # each class's columns pointing the way of its first column
-        firsts = _masks(lines & (d[:, heads].T @ d > 0.0))
+        firsts, seconds = self._halves(lines)
+        classes, flats = firsts | seconds, _masks(planes)
         angles = np.arctan2(e2 @ d, e1 @ d)[:, heads]
         flipped = angles < 0.0
         angles[flipped] += np.pi
@@ -535,7 +526,13 @@ class Zonotope:
         """
         if self.k > VERTEX_ENUM_LIMIT:
             raise CapacityError(f"vertex enumeration capped at k = {VERTEX_ENUM_LIMIT}")
-        masks = np.unique(self._flat_sign_vectors(self.rank, None, {}))
+        if self.rank == 1:
+            masks = np.unique(self._halves(np.ones((1, self.k), dtype=bool)))
+        else:
+            below, _, sizes = self._vertex_levels[self.rank - 1]
+            # each closed (rank-1)-face's vertices joined with the translation sets of its minus and plus sides
+            sides = np.repeat(self._bounding_facets.masks.reshape(-1, 2), sizes, axis=0)
+            masks = np.unique(sides | below[:, None])
         points = _columns_of(masks, self.k).astype(float) @ self.matrix.T
         order = np.lexsort(points.T[::-1])
         records = np.empty(len(masks), dtype=[("point", float, (self.n,)), ("mask", np.int64)])
@@ -556,11 +553,6 @@ class Zonotope:
         """Sign vectors of :meth:`vertices`, in the same order (frozensets)."""
         rows = _columns_of(self._vertices["mask"], self.k).tolist()
         return [frozenset(itertools.compress(range(self.k), row)) for row in rows]
-
-
-def _mask(columns):
-    """Sign mask of a column collection: bit j set iff column j is in it."""
-    return sum(1 << j for j in columns)
 
 
 def _masks(rows):

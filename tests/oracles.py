@@ -678,6 +678,62 @@ def recursive_vertex_sign_vectors(z):
     return _labelled_sign_vectors(z, tuple(range(z.k)), {})
 
 
+# -- per-face recursion over the closed faces, kept as the reference for the --
+# -- level passes ---------------------------------------------------------------
+#
+# The package's vertex enumeration before it built each face level in one
+# pass: a closed face at a time, memoised on (level, face row), with one
+# stacked residual QR per level and one class's halves per gemv. It reads the
+# package's closed faces, facet table and 2-face cycles.
+
+
+def _int_masks(rows):
+    return rows @ (np.int64(1) << np.arange(rows.shape[1], dtype=np.int64))
+
+
+def _face_sign_masks(z, s, row, memo, residuals):
+    """Vertex sign masks of the closed s-face ``z.generating_faces(s)[row]``, all columns at row None."""
+    if (s, row) in memo:
+        return memo[s, row]
+    flat = tuple(range(z.k)) if row is None else z.generating_faces(s)[row].columns
+    whole = sum(1 << j for j in flat)
+    if s == z.rank >= 2:
+        below = [_face_sign_masks(z, s - 1, i, memo, residuals) for i in range(len(z.generating_faces(s - 1)))]
+        sides = np.repeat(z._bounding_facets.masks.reshape(-1, 2), [len(b) for b in below], axis=0)
+        signs = (sides | np.concatenate(below)[:, None]).ravel()
+    elif s == 2:
+        rings, starts, sizes, _ = z._cycles
+        signs = rings[starts[row]:starts[row] + sizes[row]]
+    elif s == 1:
+        d = z.directions
+        half = sum(1 << j for j in np.array(flat)[d[:, flat].T @ d[:, flat[0]] > 0.0].tolist())
+        signs = np.array([half, whole ^ half])
+    else:
+        masks, off = residuals[s - 1]
+        rows = np.flatnonzero((masks & ~whole == 0) & (masks != whole))
+        rest = (((whole ^ masks[rows])[:, None] >> np.arange(z.k)) & 1) == 1
+        off = off[rows]
+        lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
+        sides = _int_masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
+        below = [_face_sign_masks(z, s - 1, i, memo, residuals) for i in rows.tolist()]
+        half = np.repeat(sides, [len(b) for b in below]) | np.concatenate([np.empty(0, np.int64), *below])
+        signs = np.unique(np.concatenate([half, whole ^ half]))
+    memo[s, row] = signs
+    return signs
+
+
+def face_recursion_vertex_masks(z):
+    """Sorted int64 vertex sign masks of ``z``, one closed face at a time."""
+    d = z.directions
+    residuals = {}
+    for s in range(2, z.rank - 1):
+        z.generating_faces(s)
+        _, bases, members = z._face_cache[s]
+        q, _ = np.linalg.qr(np.ascontiguousarray(d[:, bases].transpose(1, 0, 2)))
+        residuals[s] = (_int_masks(members), d - q @ (np.swapaxes(q, 1, 2) @ d))
+    return np.unique(_face_sign_masks(z, z.rank, None, {}, residuals))
+
+
 # -- membership-mask mesh polygons, kept as the reference for the cycle walk --
 #
 # ``zonokit mesh`` before it walked each closed 2-face's vertex cycle: every

@@ -563,6 +563,21 @@ class TestRootCommand:
         assert cli.main(["root", str(p)]) == 4
         assert "precondition" in capsys.readouterr().err
 
+    def test_unverified_root_exit4(self, tmp_path, capsys):
+        # U diag(1, 1, 3.8e-9) V^T has rank 3 at the default tolerance, but the
+        # root it gives fails verification (relative residual 1.5e-8)
+        p = tmp_path / "b.txt"
+        p.write_text(
+            "0.30994180709456781 0.28542548448355587 0.35620140519310095\n"
+            "0.60504735987303981 0.67282185560305163 -0.23595685072106196\n"
+            "-0.10429613986444672 0.00083559320628589031 -0.90014629504622201\n"
+        )
+        out = tmp_path / "r.json"
+        assert cli.main(["root", str(p), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("no verified root: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestMeshCommand:
     def test_cube(self, tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -592,7 +593,7 @@ class TestVertices:
         assert built == []
 
     def test_one_qr_per_face_level(self, monkeypatch):
-        # the residual levels take one stacked QR each, and the parallel classes
+        # each vertex level above 2 takes one stacked QR, and the parallel classes
         # are the closed 1-faces: the one rank call is Zonotope.rank's
         calls = []
         for owner, name in ((np.linalg, "qr"), (zonokit.numkit, "rank")):
@@ -617,7 +618,7 @@ class TestVertices:
         ids=["default", "rel=1e-3"],
     )
     def test_near_cut_sign_vectors_closed_under_complement(self, matrix, tol):
-        # some closed 2-faces have rank 3 as column sets; the recursion over flats still ends
+        # some closed 2-faces have rank 3 as column sets; the level passes still close under complement
         z = Zonotope(matrix, tol)
         signs = set(z.vertex_sign_vectors())
         assert len(signs) == len(z.vertices()) > 0
@@ -749,6 +750,70 @@ class TestAgainstSubZonotopeRecursion:
             assert z.vertex_sign_vectors() == [want[i] for i in order]
             assert np.array(z.vertices()).tobytes() == points[order].tobytes()
         assert recursed <= 2
+
+
+def near_cut_matrix(rng, trial, n, k):
+    """``differential_matrix`` with every fourth input moved off its exact entries by 1e-11..1e-7."""
+    a = differential_matrix(rng, trial, n, k)
+    if trial % 4 == 1:
+        a = a + rng.normal(size=a.shape) * 10.0 ** rng.uniform(-11, -7)
+    return a
+
+
+def assert_face_recursion_records(z):
+    """``z._vertices`` and ``z.vertex_sign_vectors()`` equal the per-face recursion's, bit for bit."""
+    masks = oracles.face_recursion_vertex_masks(Zonotope(z.matrix, z.tol))
+    columns = (masks[:, None] >> np.arange(z.k)) & 1 == 1
+    points = columns.astype(float) @ z.matrix.T
+    order = np.lexsort(points.T[::-1])
+    assert z._vertices["point"].tobytes() == points[order].tobytes()
+    assert z._vertices["mask"].tobytes() == masks[order].tobytes()
+    assert z.vertex_sign_vectors() == [frozenset(np.flatnonzero(row).tolist()) for row in columns[order]]
+
+
+class TestAgainstFaceRecursion:
+    """Each face level in one pass equals the per-face recursion over the same closed faces, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    def test_seeded_differential(self):
+        rng = np.random.default_rng(1808)
+        for trial in range(400):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(n, VERTEX_ENUM_LIMIT + 1))
+            tol = Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
+            assert_face_recursion_records(Zonotope(near_cut_matrix(rng, trial, n, k), tol))
+
+    @pytest.mark.parametrize(
+        "matrix, tol",
+        [
+            (near_cut_default_tol(), Tolerance()),
+            (near_cut_wide_tol(), Tolerance(rel=1e-3)),
+            (near_cut_rank_deficient(), Tolerance()),
+            (near_cut_rank_deficient(), Tolerance(rel=1e-3)),
+        ],
+        ids=["default", "wide", "deficient", "deficient-rel=1e-3"],
+    )
+    def test_near_cut_fixtures(self, matrix, tol):
+        assert_face_recursion_records(Zonotope(matrix, tol))
+
+
+class TestVertexCount:
+    """In general position a rank-r zonotope with k generators has 2 sum_{i<r} C(k-1, i) vertices."""
+
+    @pytest.mark.parametrize("n, k, seed, count", [(3, 16, 51, 242), (4, 14, 52, 756), (5, 16, 53, 3882)])
+    def test_general_position(self, n, k, seed, count):
+        z = Zonotope(np.random.default_rng(seed).normal(size=(n, k)))
+        signs = z.vertex_sign_vectors()
+        assert count == 2 * sum(math.comb(k - 1, i) for i in range(n))
+        assert len(z.vertices()) == len(set(signs)) == count
+        assert {frozenset(range(k)) - s for s in signs} == set(signs)
+
+    def test_4x12_against_hull(self):
+        z = Zonotope(np.random.default_rng(54).normal(size=(4, 12)))
+        masks = (np.arange(2**12)[:, None] >> np.arange(12)) & 1
+        hull = oracles.hull_vertex_set(masks.astype(float) @ z.matrix.T)
+        assert len(hull) == 2 * sum(math.comb(11, i) for i in range(4))
+        assert {tuple(np.round(v, 9)) for v in z.vertices()} == hull
 
 
 class TestTracedNames:
