@@ -276,15 +276,8 @@ def cmd_tile(args, tol):
     til = tiling_mod.tile_zonotope(z, order)
     report = tiling_mod.validate_tiling(z, til, tol)
     payload = til.to_dict(z.matrix)
-    payload["validation"] = {
-        "ok": report.ok,
-        "volume_ok": report.volume_ok,
-        "census_ok": report.census_ok,
-        "disjoint_ok": report.disjoint_ok,
-        "containment_ok": report.containment_ok,
-        "volume_sum": report.volume_sum,
-        "expected_volume": report.expected_volume,
-    }
+    fields = ("ok", "volume_ok", "census_ok", "disjoint_ok", "containment_ok", "volume_sum", "expected_volume")
+    payload["validation"] = {name: getattr(report, name) for name in fields}
     _write(args.out or "tiling.json", _tiling_json(payload) + "\n")
     print(f"{len(til.tiles)} tiles, volume {_fmt(report.volume_sum)}, validation {'pass' if report.ok else 'FAIL'}")
     if not report.ok:

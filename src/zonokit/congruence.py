@@ -166,7 +166,8 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
     since single linkage can chain label 0 far above the cut. A witness
     comes only from ``find_orthogonal`` and the residual check, run on each
     complete assignment; when they reject it the search backtracks.
-    Capacity-bounded at k = 10 columns.
+    Capacity-bounded at k = 10 columns. A column whose squared length, a
+    Gram diagonal entry, overflows raises ValueError.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -177,8 +178,13 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
         raise CapacityError(f"signed-permutation search capped at k = {SEARCH_LIMIT}")
     if a.shape[0] > b.shape[0]:
         b = np.vstack([b, np.zeros((a.shape[0] - b.shape[0], k))])
-    ga, gb = gram(a), gram(b)
-    cut = tol.threshold(max(np.abs(ga).max(), np.abs(gb).max()))
+    with np.errstate(over="ignore"):
+        ga, gb = gram(a), gram(b)
+    top = max(np.abs(ga).max(), np.abs(gb).max())
+    if not np.isfinite(top):
+        name, g = ("A", ga) if np.isinf(ga.trace()) else ("B", gb)
+        raise ValueError(f"the squared length of column {np.isinf(np.diag(g)).argmax()} of {name} overflows float64")
+    cut = tol.threshold(top)
     upper = np.triu_indices(k, 1)
     for pa, pb in ((np.diag(ga), np.diag(gb)), (np.abs(ga[upper]), np.abs(gb[upper]))):
         if np.any(np.abs(np.sort(pa) - np.sort(pb)) > cut):

@@ -156,9 +156,12 @@ def rank_batch(stack, tol=DEFAULT_TOL):
 
 
 def unit_columns(m):
-    """Columns scaled to unit length (zero columns stay zero)."""
+    """Columns scaled to unit length (zero columns stay zero); ValueError names a column whose length overflows."""
     a = as_matrix(m)
-    norms = np.linalg.norm(a, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=0)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"the length of column {np.argmin(np.isfinite(norms))} overflows float64")
     return a / np.where(norms > 0.0, norms, 1.0)
 
 

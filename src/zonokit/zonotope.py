@@ -9,11 +9,13 @@ set, a vertex A 1_S by its sign vector S, held as an int64 mask with bit j
 for column j (frozensets only in :meth:`Zonotope.vertex_sign_vectors`).
 Every rank decision on a column subset is made on the generators scaled to
 unit length, so it sees directions only; face closures read one cached rank
-census per subset size. Each face level is kept once, with its closure
-table: one boolean row of member columns per closed face, which the facets,
-zones, parallel classes (the closed 1-faces) and vertices all read. Each
-closed (rank-1)-dimensional generating face gives exactly one opposite pair
-of facets. The facet table (:class:`FacetTable`) holds every facet side's
+census per subset size. Each face level is kept once as arrays
+(:meth:`Zonotope._level`): each closed face's first generating subset and
+its boolean row of member columns, which the facets, zones, parallel classes
+(the closed 1-faces) and vertices all read; ``GeneratingFace`` records are
+built only by :meth:`Zonotope.generating_faces`. Each closed
+(rank-1)-dimensional generating face gives exactly one opposite pair of
+facets. The facet table (:class:`FacetTable`) holds every facet side's
 normal, translation set, translation and support as stacked arrays; the
 ``BoundingFacet`` records, which add translation-set tuples and facet
 volumes, are built from it only on request, and ``geometric_facets`` returns
@@ -59,13 +61,12 @@ class GeneratingFace:
 class FacetTable:
     """Every bounding facet side as read-only stacked arrays, one row per side.
 
-    Rows 2i and 2i + 1 are the minus and plus sides of closed face
-    ``faces[i]``: their outward ``units``, ``sides`` (a (2F, k) mask of the
-    translation set), ``masks`` (the same sets as int64 sign masks),
-    ``translations`` and ``supports``.
+    Rows 2i and 2i + 1 are the minus and plus sides of closed face i of
+    ``Zonotope._level(rank - 1)``: their outward ``units``, ``sides`` (a
+    (2F, k) mask of the translation set), ``masks`` (the same sets as int64
+    sign masks), ``translations`` and ``supports``.
     """
 
-    faces: tuple
     units: np.ndarray
     sides: np.ndarray
     masks: np.ndarray
@@ -113,6 +114,8 @@ class Zonotope:
         a = as_matrix(matrix)
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionError("a zonotope needs ambient dimension and generators")
+        # before the strip, so an overflow names its input column; column-major, so squares add down columns
+        directions = numkit.unit_columns(np.asfortranarray(a))
         heights = np.abs(a).max(axis=0)
         keep = heights > tol.threshold(heights.max())
         self.stripped_columns = tuple(np.flatnonzero(~keep).tolist())
@@ -124,12 +127,12 @@ class Zonotope:
             )
         if not keep.any():
             raise DegeneracyError("all generators are zero")
-        a = a[:, np.flatnonzero(keep)]
-        a.setflags(write=False)
-        self.matrix = a
-        self.directions = numkit.unit_columns(a)
+        kept = np.flatnonzero(keep)
+        self.matrix, self.directions = a[:, kept], directions[:, kept]
+        self.matrix.setflags(write=False)
         self.directions.setflags(write=False)
         self.tol = tol
+        self._subsets, self._censuses, self._measures, self._levels, self._faces = {}, {}, {}, {}, {}
 
     @property
     def n(self):
@@ -146,21 +149,13 @@ class Zonotope:
     @cached_property
     def parallel_classes(self):
         """Groups of mutually parallel generators (each a tuple of indices): the closed 1-faces."""
-        return [face.columns for face in self.generating_faces(1)]
+        return _tuples(self._level(1)[1])
 
     def center(self):
         """Center of symmetry, half the generator sum."""
         return self.matrix.sum(axis=1) / 2.0
 
     # -- faces ----------------------------------------------------------
-
-    @cached_property
-    def _face_cache(self):
-        return {}
-
-    @cached_property
-    def _subsets(self):
-        return {}
 
     def subsets(self, s):
         """Read-only ``numkit.subsets(k, s)``: the s-subsets of the columns in lexicographic order.
@@ -173,10 +168,6 @@ class Zonotope:
             table.setflags(write=False)
             self._subsets[s] = table
         return self._subsets[s]
-
-    @cached_property
-    def _censuses(self):
-        return {}
 
     def rank_census(self, s):
         """(subsets, ranks): every s-subset of the columns and its rank on ``directions``.
@@ -197,10 +188,6 @@ class Zonotope:
             self._censuses.update(zip(sizes, zip(tables, ranks)))
         return self._censuses[s]
 
-    @cached_property
-    def _measures(self):
-        return {}
-
     def subset_measures(self, s):
         """Read-only ``numkit.subset_measures`` of every subset in ``subsets(s)``.
 
@@ -214,30 +201,42 @@ class Zonotope:
         return self._measures[s]
 
     def generating_faces(self, s):
-        """All maximal column subsets of rank s, as GeneratingFace records.
+        """All maximal column subsets of rank s, as GeneratingFace records in column-tuple order.
 
-        s = 0 returns the generators themselves, one face per column. Ranks
-        are decided on ``directions``. The faces come in column-tuple order.
-        ``_face_cache[s]`` keeps them with their closure table: each face's
-        first generating s-subset in lexicographic order (a facet takes its
-        normal from it) and its (F, k) boolean row of member columns.
+        s = 0 returns the generators themselves, one face per column. Built
+        from :meth:`_level` once, so each record keeps its identity.
+        """
+        if s not in self._faces:
+            self._faces[s] = [GeneratingFace(c, s) for c in _tuples(self._level(s)[1])]
+        return self._faces[s]
+
+    def _level(self, s):
+        """(bases, members): the closed s-faces as read-only arrays, in column-tuple order.
+
+        Row i of ``members`` marks closed face i's columns, and of ``bases`` its
+        first generating s-subset (a facet takes its normal from it). The rows
+        are the closures of the rank-s s-subsets (the identity at s = 0), kept
+        once by a stable lexsort on exact keys: a row's columns ascending,
+        padded with -1, which sort as the column tuples, a prefix first.
         """
         if not 0 <= s <= self.rank:
             raise DegeneracyError(f"face dimension {s} outside 0..{self.rank}")
-        if s not in self._face_cache:
+        if s not in self._levels:
             k = self.k
             rows, combos = (np.eye(k, dtype=bool), np.arange(k)[:, None]) if s == 0 else self._closures(s)
-            # each closed column set (an exact key, where an int64 mask would merge columns past 63)
-            # and the place of its first subset
-            first = {}
-            for i, row in enumerate(rows.tolist()):
-                first.setdefault(tuple(itertools.compress(range(k), row)), i)
-            columns = sorted(first)
-            at = [first[c] for c in columns]
-            members, bases = rows[at], combos[at]
+            keys = np.sort(np.where(rows, np.arange(k), k), axis=1)
+            keys[keys == k] = -1
+            order = np.lexsort(keys.T[::-1])
+            keys = keys[order]
+            # the first row of each run of equal keys, which is the run's first subset
+            new = np.ones(len(order), dtype=bool)
+            new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+            at = order[new]
+            bases, members = combos[at], rows[at]
+            bases.setflags(write=False)
             members.setflags(write=False)
-            self._face_cache[s] = ([GeneratingFace(c, s) for c in columns], bases, members)
-        return self._face_cache[s][0]
+            self._levels[s] = bases, members
+        return self._levels[s]
 
     def _closures(self, s):
         """(members, subsets) of every rank-s s-subset, in lexicographic order.
@@ -269,7 +268,7 @@ class Zonotope:
         if not 0 <= i < self.k:
             raise IndexError(f"generator index {i} outside 0..{self.k - 1}")
         faces = self.generating_faces(self.rank - 1)
-        return list(itertools.compress(faces, self._face_cache[self.rank - 1][2][:, i].tolist()))
+        return list(itertools.compress(faces, self._level(self.rank - 1)[1][:, i].tolist()))
 
     # -- volumes ---------------------------------------------------------
 
@@ -324,8 +323,7 @@ class Zonotope:
             raise DegeneracyError("bounding facets need rank >= 2")
         basis = self._column_space_basis
         coords = self.matrix if basis is None else basis.T @ self.matrix
-        faces = tuple(self.generating_faces(self.rank - 1))
-        _, bases, members = self._face_cache[self.rank - 1]
+        bases, members = self._level(self.rank - 1)
         # One row per face. A matmul on (.., m, 1) or (.., 1, m) stacks makes
         # one BLAS matrix-vector or dot call per row, as a loop over the faces
         # would, so every value is bit-identical to the one-face computation.
@@ -344,32 +342,30 @@ class Zonotope:
         masks = _masks(sides)
         for array in (units, sides, masks, translations, supports):
             array.setflags(write=False)
-        return FacetTable(faces, units, sides, masks, translations, supports)
+        return FacetTable(units, sides, masks, translations, supports)
 
     @cached_property
     def _facet_records(self):
         """The facet table as BoundingFacet records, with translation sets and facet volumes."""
         table = self._bounding_facets
-        tsets = [tuple(itertools.compress(range(self.k), row)) for row in table.sides.tolist()]
+        faces = self.generating_faces(self.rank - 1)
+        tsets = _tuples(table.sides)
         supports = table.supports.tolist()
-        volumes = _face_volumes(self.matrix, [face.columns for face in table.faces], self.rank - 1).tolist()
-        facets = []
-        for i, face in enumerate(table.faces):
-            neg, pos = tsets[2 * i], tsets[2 * i + 1]
-            for j, side in ((2 * i, "minus"), (2 * i + 1, "plus")):
-                facets.append(
-                    BoundingFacet(
-                        generating=face,
-                        unit_normal=table.units[j],
-                        negative_set=neg,
-                        positive_set=pos,
-                        side=side,
-                        translation=table.translations[j],
-                        volume=volumes[i],
-                        support=supports[j],
-                    )
-                )
-        return facets
+        volumes = _face_volumes(self.matrix, [face.columns for face in faces], self.rank - 1).tolist()
+        # row j is the minus (j even) or plus side of face j // 2, whose minus row is j - j % 2
+        return [
+            BoundingFacet(
+                generating=faces[j // 2],
+                unit_normal=table.units[j],
+                negative_set=tsets[j - j % 2],
+                positive_set=tsets[j - j % 2 + 1],
+                side=("minus", "plus")[j % 2],
+                translation=table.translations[j],
+                volume=volumes[j // 2],
+                support=supports[j],
+            )
+            for j in range(len(tsets))
+        ]
 
     def bounding_facets(self):
         return list(self._facet_records)
@@ -424,16 +420,14 @@ class Zonotope:
         d = self.directions
         levels = {}
         if self.rank == 2:
-            self.generating_faces(1)
-            halves = np.stack(self._halves(self._face_cache[1][2]), axis=1)
+            halves = np.stack(self._halves(self._level(1)[1]), axis=1)
             levels[1] = halves.ravel(), np.arange(0, halves.size, 2), np.full(len(halves), 2)
         elif self.rank > 2:
             levels[2] = self._cycles[:3]
         for s in range(3, self.rank):
             below, starts, sizes = levels[s - 1]
-            self.generating_faces(s)
-            whole = _masks(self._face_cache[s][2])
-            _, bases, members = self._face_cache[s - 1]
+            whole = _masks(self._level(s)[1])
+            bases, members = self._level(s - 1)
             masks = _masks(members)
             q, _ = np.linalg.qr(numkit.column_subsets(d, bases))
             residuals = d - q @ (np.swapaxes(q, 1, 2) @ d)
@@ -486,10 +480,8 @@ class Zonotope:
         """
         d = self.directions
         # level 1 first: its census request ranks every size up to the rank at once
-        self.generating_faces(1)
-        self.generating_faces(2)
-        _, pairs, planes = self._face_cache[2]
-        _, _, lines = self._face_cache[1]
+        _, lines = self._level(1)
+        pairs, planes = self._level(2)
         e1 = d[:, pairs[:, 0]].T
         e2 = d[:, pairs[:, 1]].T
         e2 = e2 - e1 * np.sum(e1 * e2, axis=1)[:, None]
@@ -551,8 +543,12 @@ class Zonotope:
 
     def vertex_sign_vectors(self):
         """Sign vectors of :meth:`vertices`, in the same order (frozensets)."""
-        rows = _columns_of(self._vertices["mask"], self.k).tolist()
-        return [frozenset(itertools.compress(range(self.k), row)) for row in rows]
+        return list(map(frozenset, _tuples(_columns_of(self._vertices["mask"], self.k))))
+
+
+def _tuples(rows):
+    """The marked columns of each row of a (R, k) boolean array, as a list of tuples."""
+    return [tuple(itertools.compress(range(rows.shape[1]), row)) for row in rows.tolist()]
 
 
 def _masks(rows):

@@ -351,6 +351,22 @@ def loop_generating_faces(z, s):
     return [seen[c] for c in sorted(seen)]
 
 
+def loop_level(z, s):
+    """(bases, members) of the closed s-faces: the closure rows deduplicated one row at a time.
+
+    The package's face levels before one lexsort deduplicated them: each
+    closure row's column tuple keys a dict that keeps its first row, and the
+    tuples are sorted.
+    """
+    k = z.k
+    rows, combos = (np.eye(k, dtype=bool), np.arange(k)[:, None]) if s == 0 else z._closures(s)
+    first = {}
+    for i, row in enumerate(rows.tolist()):
+        first.setdefault(tuple(j for j in range(k) if row[j]), i)
+    at = [first[c] for c in sorted(first)]
+    return combos[at], rows[at]
+
+
 def loop_sign_normalize(v, tol):
     """Flip v so its first coordinate above the cut is positive, one entry at a time."""
     cut = tol.threshold(np.abs(v).max() if v.size else 0.0)
@@ -727,8 +743,7 @@ def face_recursion_vertex_masks(z):
     d = z.directions
     residuals = {}
     for s in range(2, z.rank - 1):
-        z.generating_faces(s)
-        _, bases, members = z._face_cache[s]
+        bases, members = z._level(s)
         q, _ = np.linalg.qr(np.ascontiguousarray(d[:, bases].transpose(1, 0, 2)))
         residuals[s] = (_int_masks(members), d - q @ (np.swapaxes(q, 1, 2) @ d))
     return np.unique(_face_sign_masks(z, z.rank, None, {}, residuals))

@@ -459,14 +459,14 @@ class TestFacetRecordsOnRequest:
     """tile and mesh read the facet table, never the BoundingFacet records."""
 
     def count(self, monkeypatch):
-        counts = {"records": 0, "volumes": 0}
-        init = zonotope.BoundingFacet.__init__
+        counts = {"records": 0, "volumes": 0, "faces": 0}
+        for cls, key in ((zonotope.BoundingFacet, "records"), (zonotope.GeneratingFace, "faces")):
 
-        def counted(self, *args, **kwargs):
-            counts["records"] += 1
-            init(self, *args, **kwargs)
+            def counted(self, *args, _init=cls.__init__, _key=key, **kwargs):
+                counts[_key] += 1
+                _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(zonotope.BoundingFacet, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         face_volumes = zonotope._face_volumes
 
         def counted_volumes(*args):
@@ -482,22 +482,23 @@ class TestFacetRecordsOnRequest:
         counts = self.count(monkeypatch)
         assert cli.main(["tile", str(p), "--out", str(tmp_path / "t.json")]) == 0
         assert "126 tiles" in capsys.readouterr().out
-        assert counts == {"records": 0, "volumes": 0}
+        assert counts == {"records": 0, "volumes": 0, "faces": 0}
 
     def test_mesh(self, tmp_path, monkeypatch):
         p = tmp_path / "m.json"
         write_json_matrix(p, np.random.default_rng(134).normal(size=(3, 7)))
         counts = self.count(monkeypatch)
         assert cli.main(["mesh", str(p), "--out", str(tmp_path / "m.off")]) == 0
-        assert counts["records"] == 0
+        assert counts["records"] == counts["faces"] == 0
 
     def test_records_match_the_table(self):
         z = Zonotope(np.random.default_rng(135).normal(size=(4, 7)))
         table = z._bounding_facets
         records = z.bounding_facets()
-        assert len(records) == len(table.units) == 2 * len(table.faces)
+        faces = z.generating_faces(z.rank - 1)
+        assert len(records) == len(table.units) == 2 * len(faces)
         for row, bf in enumerate(records):
-            assert bf.generating is table.faces[row // 2]
+            assert bf.generating is faces[row // 2]
             assert np.array_equal(bf.unit_normal, table.units[row])
             assert bf.translation_set == tuple(np.flatnonzero(table.sides[row]).tolist())
             assert bf.support == table.supports[row]
@@ -780,6 +781,39 @@ class TestSymmetryCommand:
         )
         assert cli.main(["symmetry", str(p)]) == 0
         assert "loop: symmetric" in capsys.readouterr().out
+
+
+class TestOverflowingLength:
+    """A generator whose length overflows float64 exits 10 with one message, and no rank 0 answer."""
+
+    BIG2 = np.diag([1e200, 1e200])
+    BIG3 = np.hstack([np.diag([1e200, 1e200, 1e200]), np.ones((3, 1))])
+
+    @pytest.mark.parametrize(
+        "command, matrices, message",
+        [
+            ("volume", [BIG2], "the length of column 0 overflows float64"),
+            ("tile", [BIG3], "the length of column 0 overflows float64"),
+            ("mesh", [BIG3], "the length of column 0 overflows float64"),
+            ("congruent", [BIG2, BIG2], "the squared length of column 0 of A overflows float64"),
+            ("congruent", [np.eye(2), BIG2], "the squared length of column 0 of B overflows float64"),
+        ],
+    )
+    def test_exit10(self, command, matrices, message, tmp_path, capsys):
+        paths = []
+        for i, m in enumerate(matrices):
+            paths.append(str(tmp_path / f"m{i}.txt"))
+            write_text_matrix(tmp_path / f"m{i}.txt", m)
+        out = tmp_path / "out"
+        assert cli.main([command, *paths, "--out", str(out)]) == 10
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_finite_lengths_answer(self, tmp_path, capsys):
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, np.diag([1e150, 1e150]))
+        assert cli.main(["volume", str(p)]) == 0
+        assert capsys.readouterr().out == "rank 2, volume 1e+300, 1/1 subsets independent\n"
 
 
 class TestExitCodesAndConfig:

@@ -153,6 +153,11 @@ class TestCongruentZonotopes:
         assert w is not None
         assert w.residual(a, b) <= 1e-9
 
+    def test_overflowing_length_refused(self):
+        # a 1e200 entry makes its Gram diagonal, the squared length, overflow to inf
+        with pytest.raises(ValueError, match="squared length of column 1 of B overflows"):
+            congruent_zonotopes(np.eye(2), np.diag([1.0, 1e200]))
+
     def test_first_pair_identity_witness(self):
         a, b = PAIRS[0]
         w = congruent_zonotopes(a, b)

@@ -76,6 +76,12 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             as_matrix([1.0, 2.0])
 
+    def test_unit_columns_refuse_an_overflowing_length(self):
+        # a length squares its entries: 1e200 overflows to inf, 1e150 does not
+        with pytest.raises(ValueError, match="length of column 1 overflows"):
+            numkit.unit_columns([[1.0, 1e200], [0.0, 0.0]])
+        assert numkit.unit_columns([[1e150, 0.0], [0.0, 3.0]]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
 
 class TestDeterminant:
     def test_identity(self):

@@ -60,6 +60,12 @@ class TestConstruction:
             with pytest.raises(DegeneracyError):
                 Zonotope(np.zeros((2, 2)))
 
+    def test_overflowing_length_named_by_input_column(self):
+        # column 0 would be stripped as zero beside the 1e200 column, which keeps its input index
+        with pytest.raises(ValueError, match="length of column 2 overflows"):
+            Zonotope([[1.0, 0.0, 1e200], [0.0, 1.0, 0.0]])
+        assert Zonotope(np.diag([1e150, 1e150])).rank == 2
+
     def test_rank_cached(self):
         z = Zonotope(A0)
         assert z.rank == 3
@@ -605,9 +611,11 @@ class TestVertices:
         assert calls.count("rank") == 1
 
     def test_capacity_before_faces(self, monkeypatch):
+        # no face level is closed and no subset is ranked before the cap check
         calls = []
-        faces = Zonotope.generating_faces
-        monkeypatch.setattr(Zonotope, "generating_faces", lambda self, s: calls.append(s) or faces(self, s))
+        closures, ranks = Zonotope._closures, zonokit.numkit.subset_ranks
+        monkeypatch.setattr(Zonotope, "_closures", lambda self, s: calls.append(s) or closures(self, s))
+        monkeypatch.setattr(zonokit.numkit, "subset_ranks", lambda *a: calls.append(a) or ranks(*a))
         with pytest.raises(CapacityError):
             Zonotope(np.random.default_rng(34).normal(size=(3, 17))).vertices()
         assert calls == []
