@@ -21,6 +21,7 @@ from .errors import (
     CapacityError,
     DegeneracyError,
     DimensionError,
+    MeshSurfaceError,
     NoRealRootError,
     NoWitnessError,
     ReconstructionError,
@@ -43,7 +44,6 @@ from .rigidity import (
     ExteriorRootResult,
     FacetDatum,
     exterior_root,
-    facet_congruence_check,
     minkowski_balance,
     parallelotope_from_facets,
     signature_congruence_check,

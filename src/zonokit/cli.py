@@ -1,7 +1,7 @@
-"""Command-line front end: matrix ingestion, analyses, persistence, mesh export.
+"""Command-line front end on the public zonokit API: parsing, analyses, persistence, OFF meshes.
 
 Exit codes: 0 ok, 1 negative result, 2 capacity, 3 rank, 4 no-root,
-5 mesh-rank, 10 parse/usage errors.
+5 mesh-rank, 10 parse/usage errors and values that overflow float64.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     CapacityError,
     DegeneracyError,
     DimensionError,
+    MeshSurfaceError,
     NoRealRootError,
     ReconstructionError,
     ZonokitError,
@@ -201,7 +202,11 @@ def cmd_volume(args, tol):
     indep = 0
     if z.rank == z.n:
         # a subset is independent iff its unit directions are: |minor| over its column norms' product
-        norms = np.linalg.norm(z.matrix, axis=0)[z.subsets(z.n)].prod(axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(z.matrix, axis=0)[z.subsets(z.n)].prod(axis=1)
+        if not np.isfinite(norms).all():
+            columns = tuple(z.subsets(z.n)[np.argmin(np.isfinite(norms))].tolist())
+            raise ValueError(f"the product of the lengths of columns {columns} overflows float64")
         indep = int(np.count_nonzero(np.abs(z.subset_measures(z.n)) / norms > tol.threshold(1.0)))
     if z.rank < z.n:
         print(f"warning: rank {z.rank} < dimension {z.n}; reporting the {z.rank}-volume", file=sys.stderr)
@@ -222,8 +227,9 @@ def _mc_volume(z, samples, seed):
     box = float(np.prod(hi - lo))
     if z.n == 1:
         return box  # a segment is its own bounding box and has no facets
-    table = z._bounding_facets
-    normals, offsets = table.units, table.supports
+    facets = z.bounding_facets()
+    normals = np.array([f.unit_normal for f in facets])
+    offsets = np.array([f.support for f in facets])
     slack = z.tol.threshold(float(np.abs(offsets).max()))
     rng = np.random.default_rng(seed)
     hits = 0
@@ -323,92 +329,15 @@ def cmd_mesh(args, tol):
     return EXIT_OK
 
 
-class MeshSurfaceError(ZonokitError):
-    """The facet polygons do not close into a sphere."""
-
-
 def off_mesh(z):
-    """OFF text for a rank-3 zonotope: vertices then facet polygons (CCW).
-
-    Each facet's polygon is the vertex cycle of its closed 2-face
-    (``Zonotope._cycles``) joined with the facet's translation set, reversed
-    when the cycle's frame normal e1 x e2 opposes the outward normal; one
-    index array gathers all polygons from the stacked cycles, and one sorted
-    search matches their sign masks to the vertices' masks. A polygon starts
-    at the vertex with the smallest angle atan2(. b2, . b1) about the
-    centroid of its vertices, ties to the smallest vertex index, b1 being
-    the coordinate axis least aligned with the normal u made orthogonal to u
-    and b2 = u x b1. Every step runs over all polygons at once. Raises
-    :class:`MeshSurfaceError` unless every edge lies in exactly two
-    polygons, once in each direction, and V - E + F = 2.
-    """
-    verts, masks = z._vertices["point"], z._vertices["mask"]
-    table = z._bounding_facets
-    order = z._geometric_facets
-    rings, ring_starts, ring_sizes, frames = z._cycles
-    face = order // 2
-    units = table.units[order]
-    reverse = np.sum(_cross(frames[face, 0], frames[face, 1]) * units, axis=1) < 0.0
-    sizes = ring_sizes[face]
-    starts = np.cumsum(sizes) - sizes
-    # slot j of polygon f: its face's ring read forwards, or backwards when reversed
-    polygon = np.repeat(np.arange(len(order)), sizes)
-    at = np.arange(len(polygon)) - starts[polygon]
-    pick = np.where(reverse[polygon], sizes[polygon] - 1 - at, at)
-    signs = rings[ring_starts[face][polygon] + pick] | table.masks[order][polygon]
-    by_mask = np.argsort(masks)
-    polygons = by_mask[np.searchsorted(masks, signs, sorter=by_mask)]
-    # each polygon vertex's successor, the last one's being the polygon's first
-    following = polygons[starts[polygon] + (at + 1) % sizes[polygon]]
-    _check_sphere(len(verts), len(sizes), polygons, following)
-    seed_axis = np.argmin(np.abs(units), axis=1)
-    b1 = np.zeros_like(units)
-    b1[np.arange(len(units)), seed_axis] = 1.0
-    b1 = b1 - units * _rowdot(units, b1)[:, None]
-    b1 = b1 / np.sqrt(_rowdot(b1, b1))[:, None]
-    b2 = _cross(units, b1)
-    # each centroid adds its polygon's vertices one after another in ascending
-    # index order from +0.0, as mean does; 0.0 turns a -0.0 sum into +0.0
-    ascending = np.sort(polygon * len(verts) + polygons) % len(verts)
-    centroids = (np.add.reduceat(verts[ascending], starts) + 0.0) / sizes[:, None]
-    offsets = verts[polygons] - centroids[polygon]
-    ys, xs = _rowdot(offsets, b2[polygon]).tolist(), _rowdot(offsets, b1[polygon]).tolist()
-    keys = np.array(list(map(math.atan2, ys, xs)))
-    # each polygon starts at the first slot holding the smallest key's smallest vertex index
-    lowest = keys == np.minimum.reduceat(keys, starts)[polygon]
-    slots = len(polygons)
-    codes = np.where(lowest, polygons * slots + np.arange(slots), len(verts) * slots)
-    begin = np.minimum.reduceat(codes, starts) % slots - starts
-    polygons = polygons[starts[polygon] + (at + begin[polygon]) % sizes[polygon]]
+    """OFF text of ``z.surface()``: the vertices, then one polygon line per facet, counter-clockwise."""
+    verts, polygons, sizes = z.surface()
     lines = {size: str(size) + " %d" * size + "\n" for size in np.unique(sizes).tolist()}
     return (
         f"OFF\n{len(verts)} {len(sizes)} 0\n"
         + "%.12g %.12g %.12g\n" * len(verts) % tuple(verts.ravel().tolist())
         + "".join(map(lines.__getitem__, sizes.tolist())) % tuple(polygons.tolist())
     )
-
-
-def _rowdot(a, b):
-    """Row-wise dot products of two (m, n) arrays, one BLAS dot per row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _cross(a, b):
-    """Row-wise cross products of two (m, 3) arrays: the products and differences ``np.cross`` takes."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-
-
-def _check_sphere(vertices, faces, tails, heads):
-    """Raise MeshSurfaceError unless the directed edges tails -> heads of the polygons close into a sphere."""
-    directed = len(np.unique(tails * vertices + heads))
-    undirected = len(np.unique(np.minimum(tails, heads) * vertices + np.maximum(tails, heads)))
-    euler = vertices - undirected + faces
-    # distinct directed edges, two per undirected edge: each edge once each way
-    paired = directed == len(tails) == 2 * undirected
-    if not paired or euler != 2:
-        unpaired = "" if paired else ", and not every edge lies in two polygons once each way"
-        raise MeshSurfaceError(f"the facet polygons are not a sphere: V - E + F = {euler}{unpaired}")
 
 
 def cmd_symmetry(args, tol):

@@ -27,3 +27,7 @@ class NoRealRootError(ZonokitError):
 
 class ReconstructionError(ZonokitError):
     """A reconstructed object failed its mandatory verification."""
+
+
+class MeshSurfaceError(ZonokitError):
+    """The facet polygons do not close into a sphere."""

@@ -1,5 +1,6 @@
 """Exterior roots, parallelotope reconstruction from facet data, and the
-facet-congruence checkers.
+facet-signature congruence check, which certifies through
+:func:`zonokit.congruence.congruent_zonotopes`.
 
 The key identity: for square A, the unsigned minor matrix satisfies
 minors(A) = D cof(A) D with D = diag((-1)^i), so minors(A) = b solves to
@@ -9,6 +10,7 @@ A = det(A) * (D b^T D)^-1 with det(A)^(n-1) = det(b).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,15 +56,6 @@ class ExteriorRootResult:
 
 
 @dataclass(eq=False)
-class FacetCongruenceReport:
-    combinatorial_match: bool
-    facet_results: list
-    all_facets_congruent: bool
-    witness: Optional[congruence.CongruenceWitness]
-    note: str = ""
-
-
-@dataclass(eq=False)
 class SignatureCongruenceReport:
     raw_equal: bool
     census_match: bool
@@ -80,8 +73,11 @@ def resign_for_compound(b):
 
 
 def _root_for(bs, n, tol):
-    """Solve minors(A) = bs; requires det(bs) > 0 when n is odd."""
-    delta = float(np.linalg.det(bs))
+    """Solve minors(A) = bs; requires det(bs) > 0 when n is odd. ValueError when det(bs) overflows float64."""
+    with np.errstate(over="ignore"):
+        delta = float(np.linalg.det(bs))
+    if not math.isfinite(delta):
+        raise ValueError("the determinant of the matrix overflows float64")
     if n % 2 == 1 and delta < 0:
         return None
     power = 1.0 / (n - 1)
@@ -192,46 +188,6 @@ def minkowski_balance(data):
     for d in data:
         total = total + d.volume * d.unit_normal
     return total
-
-
-def facet_congruence_check(a, b, tol=DEFAULT_TOL):
-    """Compare generating facets of two zonotopes pairwise by shape.
-
-    Requires equal shapes and full rank. Facet column sets must coincide
-    (combinatorial equivalence at the generator level); each shared facet is
-    tested with same_shape, and when all pairs pass, a congruence witness for
-    the whole zonotopes is searched to certify the conclusion.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError("facet_congruence_check needs equal shapes")
-    n = a.shape[0]
-    if rank(a, tol) != n or rank(b, tol) != n:
-        raise DegeneracyError("facet_congruence_check needs rank-n matrices")
-    za = Zonotope(a, tol)
-    zb = Zonotope(b, tol)
-    census_a = [f.columns for f in za.generating_faces(n - 1)]
-    census_b = [f.columns for f in zb.generating_faces(n - 1)]
-    if census_a != census_b:
-        return FacetCongruenceReport(
-            False, [], False, None, "generating-facet censuses differ"
-        )
-    results = []
-    for cols in census_a:
-        ok = congruence.same_shape(a[:, cols], b[:, cols], tol)
-        results.append((cols, bool(ok)))
-    all_ok = all(ok for _, ok in results)
-    witness = None
-    note = ""
-    if all_ok:
-        try:
-            witness = congruence.congruent_zonotopes(a, b, tol)
-        except CapacityError:
-            note = "witness search skipped: generator count above the search cap"
-        if witness is None and not note:
-            note = "all facets congruent but no witness found"
-    return FacetCongruenceReport(True, results, all_ok, witness, note)
 
 
 def signature_congruence_check(z1, z2, tol=DEFAULT_TOL):

@@ -1,4 +1,4 @@
-"""Zonotope model: faces, facets, normals, volumes, zones, and vertices.
+"""Zonotope model: faces, facets, normals, volumes, zones, vertices and the surface.
 
 A zonotope is the column image of a unit cube, Z(A) = {A t : t in [0,1]^k}.
 Everything here is derived from the defining matrix; the Zonotope object is
@@ -32,6 +32,7 @@ sub-zonotope, candidate point or linear program is involved.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numkit
-from .errors import CapacityError, DegeneracyError, DimensionError
+from .errors import CapacityError, DegeneracyError, DimensionError, MeshSurfaceError
 from .numkit import DEFAULT_TOL, as_matrix
 
 VERTEX_ENUM_LIMIT = 16
@@ -192,10 +193,15 @@ class Zonotope:
         """Read-only ``numkit.subset_measures`` of every subset in ``subsets(s)``.
 
         Each size is computed once and cached; volumes, the volume command's
-        census and the tiling's signs all read it.
+        census and the tiling's signs all read it. ValueError names a subset
+        whose measure overflows float64.
         """
         if s not in self._measures:
-            table = numkit.subset_measures(self.matrix, self.subsets(s))
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = numkit.subset_measures(self.matrix, self.subsets(s))
+            if not np.isfinite(table).all():
+                columns = tuple(self.subsets(s)[np.argmin(np.isfinite(table))].tolist())
+                raise ValueError(f"the {s}-volume of columns {columns} overflows float64")
             table.setflags(write=False)
             self._measures[s] = table
         return self._measures[s]
@@ -318,7 +324,7 @@ class Zonotope:
 
     @cached_property
     def _bounding_facets(self):
-        """The facet table: every bounding facet side as stacked arrays (:class:`FacetTable`)."""
+        """The facet table (:class:`FacetTable`); ValueError names a facet whose normal length overflows float64."""
         if self.rank < 2:
             raise DegeneracyError("bounding facets need rank >= 2")
         basis = self._column_space_basis
@@ -327,10 +333,14 @@ class Zonotope:
         # One row per face. A matmul on (.., m, 1) or (.., 1, m) stacks makes
         # one BLAS matrix-vector or dot call per row, as a loop over the faces
         # would, so every value is bit-identical to the one-face computation.
-        normals = _facet_normals(coords, bases)
-        if basis is not None:
-            normals = np.matmul(basis, normals[:, :, None])[:, :, 0]
-        lengths = np.sqrt(np.matmul(normals[:, None, :], normals[:, :, None])[:, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            normals = _facet_normals(coords, bases)
+            if basis is not None:
+                normals = np.matmul(basis, normals[:, :, None])[:, :, 0]
+            lengths = np.sqrt(_rowdot(normals, normals))
+        if not np.isfinite(lengths).all():
+            columns = _tuples(members[[np.argmin(np.isfinite(lengths))]])[0]
+            raise ValueError(f"the normal length of the facet on columns {columns} overflows float64")
         references = numkit.sign_normalize(normals / lengths[:, None], self.tol)
         proj = np.matmul(self.matrix.T, references[:, :, None])[:, :, 0]
         outside = ~members
@@ -338,7 +348,7 @@ class Zonotope:
         sides = np.stack([outside & (proj < 0.0), outside & (proj >= 0.0)], axis=1).reshape(-1, self.k)
         units = np.stack([-references, references], axis=1).reshape(-1, self.n)
         translations = numkit.column_sums(self.matrix, np.arange(self.k), sides)
-        supports = np.matmul(units[:, None, :], translations[:, :, None])[:, 0, 0]
+        supports = _rowdot(units, translations)
         masks = _masks(sides)
         for array in (units, sides, masks, translations, supports):
             array.setflags(write=False)
@@ -545,6 +555,62 @@ class Zonotope:
         """Sign vectors of :meth:`vertices`, in the same order (frozensets)."""
         return list(map(frozenset, _tuples(_columns_of(self._vertices["mask"], self.k))))
 
+    def surface(self):
+        """(points, polygons, sizes): the facet polygons of a rank-3 zonotope in R^3.
+
+        ``points`` are the :meth:`vertices`, read-only. Polygon f, of geometric
+        facet f, is the ``sizes[f]`` vertex indices of ``polygons`` from
+        ``sizes[:f].sum()``, counter-clockwise about the outward normal: its
+        closed 2-face's cycle (``_cycles``) joined with the facet's translation
+        set, reversed where the frame normal e1 x e2 points inwards, all
+        polygons in one pass. It starts at the smallest angle atan2(. b2, . b1)
+        about its centroid, ties to the smallest vertex index; b1 is the
+        coordinate axis least aligned with the normal u made orthogonal to u,
+        and b2 = u x b1. DimensionError unless rank 3 in R^3;
+        :class:`MeshSurfaceError` unless every edge lies in two polygons, once
+        each way, and V - E + F = 2.
+        """
+        if self.rank != 3 or self.n != 3:
+            raise DimensionError(f"a surface needs rank 3 in R^3, got rank {self.rank} in R^{self.n}")
+        verts, masks = self._vertices["point"], self._vertices["mask"]
+        table = self._bounding_facets
+        order = self._geometric_facets
+        rings, ring_starts, ring_sizes, frames = self._cycles
+        face = order // 2
+        units = table.units[order]
+        reverse = np.sum(_cross(frames[face, 0], frames[face, 1]) * units, axis=1) < 0.0
+        sizes = ring_sizes[face]
+        starts = np.cumsum(sizes) - sizes
+        # slot j of polygon f: its face's ring read forwards, or backwards when reversed
+        polygon = np.repeat(np.arange(len(order)), sizes)
+        at = np.arange(len(polygon)) - starts[polygon]
+        pick = np.where(reverse[polygon], sizes[polygon] - 1 - at, at)
+        signs = rings[ring_starts[face][polygon] + pick] | table.masks[order][polygon]
+        by_mask = np.argsort(masks)
+        polygons = by_mask[np.searchsorted(masks, signs, sorter=by_mask)]
+        # each polygon vertex's successor, the last one's being the polygon's first
+        following = polygons[starts[polygon] + (at + 1) % sizes[polygon]]
+        _check_sphere(len(verts), len(sizes), polygons, following)
+        seed_axis = np.argmin(np.abs(units), axis=1)
+        b1 = np.zeros_like(units)
+        b1[np.arange(len(units)), seed_axis] = 1.0
+        b1 = b1 - units * _rowdot(units, b1)[:, None]
+        b1 = b1 / np.sqrt(_rowdot(b1, b1))[:, None]
+        b2 = _cross(units, b1)
+        # each centroid adds its polygon's vertices one after another in ascending
+        # index order from +0.0, as mean does; 0.0 turns a -0.0 sum into +0.0
+        ascending = np.sort(polygon * len(verts) + polygons) % len(verts)
+        centroids = (np.add.reduceat(verts[ascending], starts) + 0.0) / sizes[:, None]
+        offsets = verts[polygons] - centroids[polygon]
+        ys, xs = _rowdot(offsets, b2[polygon]).tolist(), _rowdot(offsets, b1[polygon]).tolist()
+        keys = np.array(list(map(math.atan2, ys, xs)))
+        # each polygon starts at the first slot holding the smallest key's smallest vertex index
+        lowest = keys == np.minimum.reduceat(keys, starts)[polygon]
+        slots = len(polygons)
+        codes = np.where(lowest, polygons * slots + np.arange(slots), len(verts) * slots)
+        begin = np.minimum.reduceat(codes, starts) % slots - starts
+        return verts, polygons[starts[polygon] + (at + begin[polygon]) % sizes[polygon]], sizes
+
 
 def _tuples(rows):
     """The marked columns of each row of a (R, k) boolean array, as a list of tuples."""
@@ -559,6 +625,29 @@ def _masks(rows):
 def _columns_of(masks, k):
     """(R, k) boolean array whose row i marks the columns of ``masks[i]``."""
     return (masks[:, None] >> np.arange(k)) & 1 == 1
+
+
+def _rowdot(a, b):
+    """Row-wise dot products of two (m, n) arrays, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _cross(a, b):
+    """Row-wise cross products of two (m, 3) arrays: the products and differences ``np.cross`` takes."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
+def _check_sphere(vertices, faces, tails, heads):
+    """Raise MeshSurfaceError unless the directed edges tails -> heads of the polygons close into a sphere."""
+    directed = len(np.unique(tails * vertices + heads))
+    undirected = len(np.unique(np.minimum(tails, heads) * vertices + np.maximum(tails, heads)))
+    euler = vertices - undirected + faces
+    # distinct directed edges, two per undirected edge: each edge once each way
+    paired = directed == len(tails) == 2 * undirected
+    if not paired or euler != 2:
+        unpaired = "" if paired else ", and not every edge lies in two polygons once each way"
+        raise MeshSurfaceError(f"the facet polygons are not a sphere: V - E + F = {euler}{unpaired}")
 
 
 def _facet_normals(coords, bases):
@@ -600,14 +689,10 @@ def signatures_match(sig1, sig2, tol=DEFAULT_TOL):
     cut = tol.threshold(1.0)
     used = [False] * len(sig2)
     for normal, vol in sig1:
-        hit = False
         for j, (normal2, vol2) in enumerate(sig2):
-            if used[j]:
-                continue
-            if np.max(np.abs(np.asarray(normal) - np.asarray(normal2))) <= cut and tol.close(vol, vol2):
+            if not used[j] and np.max(np.abs(np.asarray(normal) - np.asarray(normal2))) <= cut and tol.close(vol, vol2):
                 used[j] = True
-                hit = True
                 break
-        if not hit:
+        else:
             return False
     return True

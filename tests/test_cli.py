@@ -784,10 +784,15 @@ class TestSymmetryCommand:
 
 
 class TestOverflowingLength:
-    """A generator whose length overflows float64 exits 10 with one message, and no rank 0 answer."""
+    """A generator length, minor, facet normal length, column-norm product or root determinant that
+    overflows float64 exits 10 with one message and no RuntimeWarning, and no rank 0 or inf answer."""
 
     BIG2 = np.diag([1e200, 1e200])
     BIG3 = np.hstack([np.diag([1e200, 1e200, 1e200]), np.ones((3, 1))])
+    # finite lengths whose minors and facet normal lengths overflow
+    BIG_MINORS = np.diag([1e150, 1e150, 1e150])
+    # finite minors, the largest 1e304, but the norms of the dependent columns 0, 1, 2 multiply to 1.4e312
+    BIG_NORMS = np.array([[1e104, 0, 1e104, 0], [0, 1e104, 1e104, 0], [0, 0, 0, 1e96]])
 
     @pytest.mark.parametrize(
         "command, matrices, message",
@@ -797,6 +802,11 @@ class TestOverflowingLength:
             ("mesh", [BIG3], "the length of column 0 overflows float64"),
             ("congruent", [BIG2, BIG2], "the squared length of column 0 of A overflows float64"),
             ("congruent", [np.eye(2), BIG2], "the squared length of column 0 of B overflows float64"),
+            ("volume", [BIG_MINORS], "the 3-volume of columns (0, 1, 2) overflows float64"),
+            ("tile", [BIG_MINORS], "the 3-volume of columns (0, 1, 2) overflows float64"),
+            ("mesh", [BIG_MINORS], "the normal length of the facet on columns (0, 1) overflows float64"),
+            ("volume", [BIG_NORMS], "the product of the lengths of columns (0, 1, 2) overflows float64"),
+            ("root", [BIG2], "the determinant of the matrix overflows float64"),
         ],
     )
     def test_exit10(self, command, matrices, message, tmp_path, capsys):
@@ -814,6 +824,21 @@ class TestOverflowingLength:
         write_text_matrix(p, np.diag([1e150, 1e150]))
         assert cli.main(["volume", str(p)]) == 0
         assert capsys.readouterr().out == "rank 2, volume 1e+300, 1/1 subsets independent\n"
+
+    def test_finite_minors_answer(self, tmp_path, capsys):
+        # minors 1e150 and facet normal lengths squared 1e300 stay finite
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, np.diag([1e75, 1e75, 1e75]))
+        out = str(tmp_path / "out")
+        assert cli.main(["volume", str(p)]) == 0
+        assert cli.main(["tile", str(p), "--out", out]) == 0
+        assert cli.main(["mesh", str(p), "--out", out]) == 0
+        assert capsys.readouterr() == (
+            "rank 3, volume 1e+225, 1/1 subsets independent\n"
+            "1 tiles, volume 1e+225, validation pass\n"
+            f"wrote {out}: 8 vertices, 6 faces\n",
+            "",
+        )
 
 
 class TestExitCodesAndConfig:

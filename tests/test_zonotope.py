@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import zonokit
 from zonokit import cli, tiling
-from zonokit.errors import CapacityError, DegeneracyError, DimensionError, ZonokitError
+from zonokit.errors import CapacityError, DegeneracyError, DimensionError, MeshSurfaceError, ZonokitError
 from zonokit.numkit import Tolerance
 from zonokit.zonotope import VERTEX_ENUM_LIMIT, RankDeficiencyWarning, Zonotope, signatures_match
 
@@ -65,6 +65,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="length of column 2 overflows"):
             Zonotope([[1.0, 0.0, 1e200], [0.0, 1.0, 0.0]])
         assert Zonotope(np.diag([1e150, 1e150])).rank == 2
+
+    def test_overflowing_minors_named_by_columns(self):
+        # finite lengths, but the 3 x 3 minor 1e450 and the facet normal lengths, sqrt(2e600), overflow
+        z = Zonotope(np.diag([1e150, 1e150, 1e150]))
+        with pytest.raises(ValueError, match=r"^the 3-volume of columns \(0, 1, 2\) overflows float64$"):
+            z.volume()
+        with pytest.raises(ValueError, match=r"^the normal length of the facet on columns \(0, 1\) overflows float64$"):
+            z.vertices()
+        # minors 1e150 and normal lengths squared 1e300 stay finite
+        assert len(Zonotope(np.diag([1e75, 1e75, 1e75])).vertices()) == 8
 
     def test_rank_cached(self):
         z = Zonotope(A0)
@@ -728,6 +738,41 @@ class TestFaceCycles:
             poly = np.array([z.matrix[:, sorted(side | v)].sum(axis=1) for v in cycle])
             newell = sum(np.cross(p, q) for p, q in zip(poly, np.roll(poly, -1, axis=0)))
             assert newell @ bf.unit_normal > 0.0
+
+
+class TestSurface:
+    """``Zonotope.surface()``: the vertices, and one polygon per geometric facet on its plane, counter-clockwise."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [A0, spread_scale_mesh(), np.eye(3), np.random.default_rng(43).normal(size=(3, 8))]
+        + [np.random.default_rng(44).integers(-2, 3, size=(3, 9)).astype(float)],
+        ids=["A0", "spread", "cube", "gauss", "int"],
+    )
+    def test_polygons_on_their_facets(self, matrix):
+        z = Zonotope(matrix)
+        points, polygons, sizes = z.surface()
+        assert points.tobytes() == np.array(z.vertices()).tobytes()
+        facets = z.geometric_facets()
+        assert len(sizes) == len(facets) and sizes.sum() == len(polygons)
+        scale = np.abs(points).max()
+        for bf, start, size in zip(facets, (np.cumsum(sizes) - sizes).tolist(), sizes.tolist()):
+            ring = points[polygons[start:start + size]]
+            assert size >= 4 and len(set(polygons[start:start + size].tolist())) == size
+            assert np.allclose(ring @ bf.unit_normal, bf.support, rtol=0.0, atol=1e-12 * scale)
+            # every corner turns left seen from outside: counter-clockwise about the outward normal
+            edges = np.roll(ring, -1, axis=0) - ring
+            assert (np.cross(edges, np.roll(edges, -1, axis=0)) @ bf.unit_normal > 0.0).all()
+
+    @pytest.mark.parametrize("matrix", [np.eye(2), A0[:, :2], np.eye(4)], ids=["R2", "rank2-in-R3", "R4"])
+    def test_needs_rank_3_in_r3(self, matrix):
+        with pytest.raises(DimensionError):
+            Zonotope(matrix).surface()
+
+    def test_near_cut_refused(self):
+        # overlapping closed 2-faces: the facet polygons do not close into a sphere
+        with pytest.raises(MeshSurfaceError, match="V - E \\+ F = "):
+            Zonotope(near_cut_default_tol()).surface()
 
 
 class TestAgainstSubZonotopeRecursion:
