@@ -68,6 +68,14 @@ def _read(path):
         raise ParseFailure(f"{path}: {exc}") from exc
 
 
+def _decode_json(text, path):
+    """The JSON value in ``text``, read from ``path``, or ParseFailure naming the line and column of a decode error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
 def load_matrix(path):
     """Read a matrix from JSON {rows, cols, data} or whitespace text rows."""
     return _parse_matrix(_read(path), path)
@@ -76,10 +84,7 @@ def load_matrix(path):
 def _parse_matrix(text, path):
     """The matrix in ``text``, read from ``path``: JSON {rows, cols, data} or whitespace text rows."""
     if text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        payload = _decode_json(text, path)
         try:
             rows, cols, data = payload["rows"], payload["cols"], payload["data"]
         except (KeyError, TypeError) as exc:
@@ -111,10 +116,7 @@ def load_points(path):
     text = _read(path)
     if not text.lstrip().startswith("{"):
         return _parse_matrix(text, path), None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    payload = _decode_json(text, path)
     if "points" in payload:
         return _point_rows(payload["points"], f"{path}: points"), None
     if "segments" in payload:
@@ -280,7 +282,7 @@ def cmd_tile(args, tol):
     if args.order:
         order = [int(tok) for tok in args.order.split(",")]
     til = tiling_mod.tile_zonotope(z, order)
-    report = tiling_mod.validate_tiling(z, til, tol)
+    report = tiling_mod.validate_tiling(z, til)
     payload = til.to_dict(z.matrix)
     fields = ("ok", "volume_ok", "census_ok", "disjoint_ok", "containment_ok", "volume_sum", "expected_volume")
     payload["validation"] = {name: getattr(report, name) for name in fields}

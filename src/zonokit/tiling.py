@@ -107,15 +107,14 @@ class TilingReport:
         return self.volume_ok and self.census_ok and self.disjoint_ok and self.containment_ok
 
 
-def visible_surface(z, direction, tol=None):
-    """Bounding facets whose outward normal points strictly along ``direction``."""
-    tol = tol or z.tol
+def visible_surface(z, direction):
+    """Bounding facets whose outward normal points strictly along ``direction``, decided at ``z.tol``."""
     d = as_vector(direction)
     if d.size != z.n:
         raise DimensionError("direction dimension does not match the zonotope")
-    if np.linalg.norm(d) <= tol.threshold(0.0) or not np.any(d):
+    if np.linalg.norm(d) <= z.tol.threshold(0.0) or not np.any(d):
         raise DimensionError("direction must be nonzero")
-    cut = tol.threshold(float(np.linalg.norm(d)))
+    cut = z.tol.threshold(float(np.linalg.norm(d)))
     return [bf for bf in z.bounding_facets() if float(bf.unit_normal @ d) > cut]
 
 
@@ -267,16 +266,15 @@ def _inside_by_products(inverses, offsets, eps):
     return np.all((coords > eps) & (coords < 1.0 - eps), axis=1)
 
 
-def validate_tiling(z, tiling, tol=None):
+def validate_tiling(z, tiling):
     """Check volume sum, subset census, interior disjointness, and containment.
 
-    The census is ``z.rank_census(n)``, ranked anew only for a ``tol``
-    other than ``z.tol``. Disjointness and containment are decided by a few
-    GEMMs; a tile or pair within rounding of its cut is decided again by
-    the per-pair products a loop would use, so every decision is
-    bit-identical to the loop's.
+    The tolerance is ``z.tol``, at which the census (``z.rank_census(n)``)
+    and the facets it reads were decided, so the report mixes no two cuts.
+    Disjointness and containment are decided by a few GEMMs; a tile or pair
+    within rounding of its cut is decided again by the per-pair products a
+    loop would use, so every decision is bit-identical to the loop's.
     """
-    tol = tol or z.tol
     matrix = z.matrix
     n = z.n
 
@@ -286,7 +284,7 @@ def validate_tiling(z, tiling, tol=None):
     vol_sum = _volume_sum(gens)
     volume_ok = abs(vol_sum - expected) <= 1e-8 * max(expected, 1e-300)
 
-    combos, ranks = z.rank_census(n) if tol == z.tol else rank_census(z.directions, n, tol)
+    combos, ranks = z.rank_census(n)
     want = set(map(tuple, combos[ranks == n].tolist()))
     got = [t.columns for t in tiling.tiles]
     duplicates = sorted(c for c, count in Counter(got).items() if count > 1)
@@ -309,7 +307,7 @@ def validate_tiling(z, tiling, tol=None):
     # each is within about (n + 2) eps |inv_i| (|c_j| + |o_i|) of the exact
     # value (n-term dot products plus one subtraction), so they differ by a
     # quarter of the margin, 8 (n + 2) eps |inv_i| (|c_j| + |o_i|), at most.
-    eps = tol.threshold(1.0)
+    eps = z.tol.threshold(1.0)
     tiles = len(tiling.tiles)
     origins = _tile_origins(tiling.tiles, n)
     centers = origins + gens.sum(axis=2) / 2.0
@@ -343,7 +341,7 @@ def validate_tiling(z, tiling, tol=None):
         table = z._bounding_facets
         units, supports = table.units, table.supports
     max_h = float(np.abs(supports).max(initial=0.0))
-    slack = 16.0 * tol.threshold(max_h if max_h else 1.0)
+    slack = 16.0 * z.tol.threshold(max_h if max_h else 1.0)
     bounds = supports[:, None] + slack
     # A tile's highest corner along u is u.o + sum of max(0, u.a_c) over its
     # columns c, and every corner's height has terms of at most

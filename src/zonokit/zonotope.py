@@ -248,26 +248,23 @@ class Zonotope:
         """(members, subsets) of every rank-s s-subset, in lexicographic order.
 
         Row i of the (N, k) boolean ``members`` marks the closed column set
-        of ``subsets[i]``: column j is in it iff the subset plus j still has
-        rank s. For j outside the subset that rank is read from the
-        (s+1)-census, at the index of the subset plus j sorted; the subset's
-        own columns are in it. Runs of ``SUBSET_BATCH // k`` subsets bound the
-        index temporaries.
+        of ``subsets[i]``: its own columns and each j that leaves its rank s
+        when added. For each (s+1)-subset T that the (s+1)-census ranks s, each
+        member j of T marks column j in the row of T - j, found by its
+        lexicographic index. Runs of ``SUBSET_BATCH // (s + 1)`` dependent
+        subsets bound the index temporaries.
         """
         combos, ranks = self.rank_census(s)
-        _, above = self.rank_census(s + 1)
-        base = combos[ranks == s]
-        k = self.k
-        members = np.empty((len(base), k), dtype=bool)
-        step = max(1, numkit.SUBSET_BATCH // k)
-        for start in range(0, len(base), step):
-            chunk = base[start:start + step]
-            inside = (chunk[:, :, None] == np.arange(k)).any(axis=1)
-            at, j = np.nonzero(~inside)
-            grown = np.sort(np.column_stack([chunk[at], j]), axis=1)
-            inside[at, j] = above[numkit.subset_index(grown, k)] == s
-            members[start:start + step] = inside
-        return members, base
+        above, above_ranks = self.rank_census(s + 1)
+        members = np.zeros((len(combos), self.k), dtype=bool)
+        members[np.arange(len(combos))[:, None], combos] = True
+        # places, not rows: at the top level every (s+1)-subset is dependent
+        dependent = np.flatnonzero(above_ranks == s)
+        step = max(1, numkit.SUBSET_BATCH // (s + 1))
+        for start in range(0, len(dependent), step):
+            chunk = above[dependent[start:start + step]]
+            members[numkit.subset_index(chunk[:, numkit.omit_each(s + 1)], self.k), chunk] = True
+        return members[ranks == s], combos[ranks == s]
 
     def zone(self, i):
         """Generating facets whose column set contains generator i."""

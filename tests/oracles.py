@@ -351,6 +351,32 @@ def loop_generating_faces(z, s):
     return [seen[c] for c in sorted(seen)]
 
 
+def lookup_closures(z, s):
+    """``Zonotope._closures(s)`` by one census lookup per (subset, column) pair.
+
+    The package's face closures before they were scattered from the
+    dependent (s+1)-subsets: for every rank-s subset and every column j
+    outside it, the subset plus j sorted is looked up in the (s+1)-census.
+    Runs of ``SUBSET_BATCH // k`` subsets bound the index temporaries.
+    """
+    from zonokit import numkit
+
+    combos, ranks = z.rank_census(s)
+    _, above = z.rank_census(s + 1)
+    base = combos[ranks == s]
+    k = z.k
+    members = np.empty((len(base), k), dtype=bool)
+    step = max(1, numkit.SUBSET_BATCH // k)
+    for start in range(0, len(base), step):
+        chunk = base[start:start + step]
+        inside = (chunk[:, :, None] == np.arange(k)).any(axis=1)
+        at, j = np.nonzero(~inside)
+        grown = np.sort(np.column_stack([chunk[at], j]), axis=1)
+        inside[at, j] = above[numkit.subset_index(grown, k)] == s
+        members[start:start + step] = inside
+    return members, base
+
+
 def loop_level(z, s):
     """(bases, members) of the closed s-faces: the closure rows deduplicated one row at a time.
 

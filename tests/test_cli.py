@@ -111,6 +111,28 @@ class TestMalformedInput:
         assert "segments: every point needs 2 coordinates" in err
         assert "inhomogeneous" not in err
 
+    @pytest.mark.parametrize(
+        "argv, texts, message",
+        [
+            (["volume"], ['{"rows": 1, "cols": 2,\n "data": [1, 2]'], "{0}: invalid JSON at line 2, column 16"),
+            (["volume"], ['{"rows": 1, "data": [1, 2]}'], "{0}: JSON matrix needs rows, cols, data"),
+            (["volume"], [" \n\n"], "{0}: empty matrix"),
+            (["symmetry"], ['{"points": [[0, 0],\n [1, 0] [0, 1]]}'], "{0}: invalid JSON at line 2, column 9"),
+            (["symmetry"], ['{"segments": 5}'], "{0}: segments must be a list of [start, end] pairs"),
+            (["symmetry"], ["{}"], "{0}: JSON needs a points or segments field"),
+            (["congruent"], ["1 0\n0 1\n", "1 0 1\n0 1 1\n"], "matrices must have equal column counts"),
+            (["root"], ["1 0 1\n0 1 1\n"], "exterior root needs a square matrix"),
+        ],
+        ids=["matrix-json", "matrix-fields", "matrix-blank", "points-json", "segments", "no-field", "columns", "root"],
+    )
+    def test_loader_refusals(self, argv, texts, message, tmp_path, capsys):
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(str(tmp_path / f"in{i}"))
+            (tmp_path / f"in{i}").write_text(text)
+        assert cli.main(argv + paths) == 10
+        assert capsys.readouterr().err == f"error: {message.format(*paths)}\n"
+
     def test_negative_mc_samples(self, a0_file, capsys):
         assert cli.main(["volume", a0_file, "--mc-samples", "-5"]) == 10
         assert "--mc-samples must be nonnegative" in capsys.readouterr().err
@@ -306,6 +328,23 @@ class TestCongruentCommand:
             w = CongruenceWitness(tuple(payload["sigma"]), tuple(payload["signs"]), q)
             assert w.residual(a, b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
+    def test_taller_first_matrix(self, tmp_path, capsys):
+        # A in R^4 is B in R^3 with a zero row, rotated and signed-permuted
+        rng = np.random.default_rng(93)
+        b = rng.normal(size=(3, 5))
+        sigma, signs = oracles.random_signed_permutation(rng, 5)
+        a = oracles.random_orthogonal(rng, 4) @ (np.vstack([b, np.zeros((1, 5))])[:, sigma] * signs)
+        pa, pb, out_file = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "w.json"
+        write_text_matrix(pa, a)
+        write_text_matrix(pb, b)
+        assert cli.main(["congruent", str(pa), str(pb), "--out", str(out_file)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("congruent, residual ")
+        payload = json.loads(out_file.read_text())
+        assert (payload["q"]["rows"], payload["q"]["cols"]) == (4, 4)
+        q = np.asarray(payload["q"]["data"]).reshape(4, 4)
+        w = CongruenceWitness(tuple(payload["sigma"]), tuple(payload["signs"]), q)
+        assert w.residual(a, b) <= 1e-8 * max(1.0, np.linalg.norm(b))
+
     def test_negative_scaled_copy(self, tmp_path):
         from fixture_matrices import gram_equal_pairs
 
@@ -422,6 +461,25 @@ class TestTileCommand:
         assert cli.main(["tile", str(p), "--out", str(out)]) == 0
         assert "3 tiles, volume 3.5, validation pass" in capsys.readouterr().out
         assert json.loads(out.read_text())["validation"]["containment_ok"]
+
+    @pytest.mark.parametrize(
+        "matrix, flags, line",
+        [
+            (near_cut_default_tol(), [], "72 tiles, volume 35108.998461, validation FAIL"),
+            (near_cut_wide_tol(), ["--tol-rel", "1e-3"], "63 tiles, volume 2.29703058393, validation FAIL"),
+        ],
+        ids=["default", "wide"],
+    )
+    def test_near_cut_validation_fails_exit1(self, matrix, flags, line, tmp_path, capsys):
+        # the only negative result of tile: the tiling file is still written, with its failed report
+        p = tmp_path / "m.txt"
+        write_text_matrix(p, matrix)
+        out = tmp_path / "t.json"
+        assert cli.main(["tile", str(p), "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().out == line + "\n"
+        payload = json.loads(out.read_text())
+        assert len(payload["tiles"]) == int(line.split()[0])
+        assert payload["validation"]["ok"] is False
 
 
 class TestTileJson:

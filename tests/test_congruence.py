@@ -153,6 +153,19 @@ class TestCongruentZonotopes:
         assert w is not None
         assert w.residual(a, b) <= 1e-9
 
+    def test_taller_first_matrix(self):
+        # A = Q [B; 0] Sigma J in R^4 against B in R^3: B is padded with a zero row to
+        # search, and the witness's residual pads B again; the other order needs neither
+        rng = np.random.default_rng(49)
+        b = random_full_rank(rng, 3, 5)
+        sigma, signs = oracles.random_signed_permutation(rng, 5)
+        a = oracles.random_orthogonal(rng, 4) @ (np.vstack([b, np.zeros((1, 5))])[:, sigma] * signs)
+        for first, second in ((a, b), (b, a)):
+            w = congruent_zonotopes(first, second)
+            assert w is not None
+            assert w.q.shape == (4, first.shape[0])
+            assert w.residual(first, second) <= 1e-12 * np.linalg.norm(b)
+
     def test_overflowing_length_refused(self):
         # a 1e200 entry makes its Gram diagonal, the squared length, overflow to inf
         with pytest.raises(ValueError, match="squared length of column 1 of B overflows"):

@@ -157,6 +157,50 @@ class TestGeneratingFaces:
         assert [z.generating_faces(s) for s in range(1, 5)] == whole
 
 
+def closure_inputs():
+    """(matrix, tol) pairs for the closure differential: seeded families, near-cut and scale fixtures, the plane."""
+    rng = np.random.default_rng(2207)
+    for trial in range(48):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(n, 13))
+        family = trial % 4
+        if family == 0:
+            a = rng.normal(size=(n, k))
+        elif family in (1, 2):  # integer entries -2..2, or 0/1
+            low, high = (-2, 3) if family == 1 else (0, 2)
+            a = rng.integers(low, high, size=(n, k)).astype(float)
+            a[0, ~a.any(axis=0)] = 1.0
+        else:  # the second half of the columns parallel or antiparallel to the first half's
+            a = rng.normal(size=(n, k))
+            half = k // 2
+            a[:, half:] = a[:, rng.integers(0, half, size=k - half)] * rng.choice([-2.0, -1.0, 0.5, 3.0], size=k - half)
+        yield a, Tolerance(rel=1e-3) if trial % 8 == 7 else Tolerance()
+    near_cut = (near_cut_default_tol, near_cut_wide_tol, near_cut_rank_deficient)
+    for fixture in near_cut + (scale_dependent_closure, spread_scale_mesh):
+        for tol in (Tolerance(), Tolerance(rel=1e-3)):
+            yield fixture(), tol
+    yield np.random.default_rng(70).normal(size=(2, 70)), Tolerance()
+
+
+class TestClosuresAgainstLookup:
+    """The closures scattered from the dependent (s+1)-subsets equal the per-(subset, column) lookups byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
+    @pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
+    def test_seeded_differential(self, batch, monkeypatch):
+        if batch is not None:
+            monkeypatch.setattr(zonokit.numkit, "SUBSET_BATCH", batch)
+        levels = 0
+        for a, tol in closure_inputs():
+            z = Zonotope(a, tol)
+            for s in range(1, z.rank + 1):
+                for got, want in zip(z._closures(s), oracles.lookup_closures(z, s), strict=True):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                levels += 1
+        assert levels > 200
+
+
 class TestBoundingFacets:
     def test_cube_normals(self):
         bfs = Zonotope(np.eye(3)).bounding_facets()
