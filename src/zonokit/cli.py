@@ -48,15 +48,25 @@ def _parse_floats(tokens, where):
         values = [float(token) for token in tokens]
         if all(map(math.isfinite, values)):
             return values
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     for i, token in enumerate(tokens):
         try:
             value = float(token)
+        except OverflowError:  # an integer beyond float64
+            value = math.inf
         except (TypeError, ValueError) as exc:
             raise ParseFailure(f"{where(i)}: not a number: {token!r}") from exc
         if not math.isfinite(value):
             raise ParseFailure(f"{where(i)}: NaN/Inf not admitted: {token!r}")
+
+
+def _json_floats(values, where):
+    """Finite floats of the JSON ``values``, which must all be numbers (not booleans or strings), or ParseFailure."""
+    bad = [value for value in values if type(value) not in (int, float)]
+    if bad:
+        raise ParseFailure(f"{where}: not a number: {bad[0]!r}")
+    return _parse_floats(values, lambda i: where)
 
 
 def _read(path):
@@ -93,8 +103,7 @@ def _parse_matrix(text, path):
             raise ParseFailure(f"{path}: rows and cols must be positive integers and data a list")
         if len(data) != rows * cols:
             raise ParseFailure(f"{path}: data length {len(data)} != rows*cols = {rows * cols}")
-        values = _parse_floats(data, lambda i: path)
-        return np.asarray(values, dtype=float).reshape(rows, cols)
+        return np.asarray(_json_floats(data, path), dtype=float).reshape(rows, cols)
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -139,7 +148,7 @@ def _point_rows(rows, where):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseFailure(f"{where}: every point needs {width} coordinates")
-    return np.asarray([_parse_floats(r, lambda i: where) for r in rows])
+    return np.asarray([_json_floats(r, where) for r in rows])
 
 
 def matrix_to_dict(m):

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-# Subsets per stacked call in subset_measures, subset_ranks and the face closures:
-# bounds the temporary stacks of wide inputs without splitting desk-scale ones.
-SUBSET_BATCH = 8192
+# Bytes of rows per run of every stacked pass (:func:`chunks`): bounds the
+# temporaries of wide inputs without splitting desk-scale ones much.
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -192,29 +192,23 @@ def subset_index(rows, k):
     return math.comb(k, s) - 1 - binom[k - 1 - idx, s - np.arange(s)].sum(axis=-1)
 
 
-def rank_census(m, size, tol=DEFAULT_TOL):
-    """(subsets, ranks): every ``size``-column subset of ``m`` and its rank.
-
-    The subsets come in lexicographic order (:func:`subsets`), so
-    :func:`subset_index` finds a subset's rank.
-    """
-    a = as_matrix(m)
-    combos = subsets(a.shape[1], size)
-    return combos, subset_ranks(a, [combos], tol)[0]
+def chunks(count, row_bytes):
+    """Index runs covering ``range(count)``, each of about CHUNK_BYTES of rows of ``row_bytes``."""
+    step = max(1, CHUNK_BYTES // max(row_bytes, 1))
+    return [np.arange(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def subset_ranks(m, tables, tol=DEFAULT_TOL):
     """Rank of ``m[:, row]`` for every row of every (B, s) subset table, one int array per table.
 
-    All tables are ranked by one stacked :func:`rank_batch` (one per run of
-    ``SUBSET_BATCH`` rows): each n x s slice is zero-padded on the right to
-    the widest size. That leaves its rank exact. Zero columns change neither
-    the slice's largest entry (the cut) nor the row-major order of its real
+    All tables are ranked by one stacked :func:`rank_batch` per run of
+    :func:`chunks`: each n x s slice is zero-padded on the right to the
+    widest size. That leaves its rank exact. Zero columns change neither the
+    slice's largest entry (the cut) nor the row-major order of its real
     entries, so they never win a pivot that passes the cut, and they leave
     every update x - (c/p)x' of a real entry unchanged; once the s real
     columns are eliminated only zeros remain, so the slice stops where the
-    unpadded one does. A slice's rank does not depend on the slices beside
-    it.
+    unpadded one does. A slice's rank does not depend on the slices beside it.
     """
     a = as_matrix(m)
     width = max(t.shape[1] for t in tables)
@@ -225,8 +219,8 @@ def subset_ranks(m, tables, tol=DEFAULT_TOL):
     for table, end in zip(tables, ends.tolist()):
         idx[end - len(table):end, :table.shape[1]] = table
     ranks = np.zeros(len(idx), dtype=int)
-    for start in range(0, len(idx), SUBSET_BATCH):
-        ranks[start:start + SUBSET_BATCH] = rank_batch(column_subsets(padded, idx[start:start + SUBSET_BATCH]), tol)
+    for rows in chunks(len(idx), 8 * a.shape[0] * width):
+        ranks[rows] = rank_batch(column_subsets(padded, idx[rows]), tol)
     return np.split(ranks, ends[:-1])
 
 
@@ -343,22 +337,22 @@ def subset_measures(m, subsets):
     """Determinant of ``m[:, s]`` for each row s of ``subsets``, as an array.
 
     Square subsets give their determinant; smaller ones the square root of
-    their Gram determinant. Each run of up to ``SUBSET_BATCH`` rows is one
-    stacked ``np.linalg.det``, which factors every slice on its own, so a
-    value does not depend on the rows beside it.
+    their Gram determinant. Each run of :func:`chunks` is one stacked
+    ``np.linalg.det``, which factors every slice on its own, so a value does
+    not depend on the rows beside it.
     """
     a = as_matrix(m)
     idx = np.asarray(subsets, dtype=int)
     if idx.ndim != 2 or idx.shape[1] > a.shape[0]:
         raise DimensionError(f"expected (B, size) subsets with size <= {a.shape[0]}, got shape {idx.shape}")
     values = np.empty(len(idx))
-    for start in range(0, len(idx), SUBSET_BATCH):
-        stack = column_subsets(a, idx[start:start + SUBSET_BATCH])
+    for rows in chunks(len(idx), 8 * a.shape[0] * idx.shape[1]):
+        stack = column_subsets(a, idx[rows])
         if idx.shape[1] == a.shape[0]:
-            values[start:start + SUBSET_BATCH] = np.linalg.det(stack)
+            values[rows] = np.linalg.det(stack)
         else:
             gram_dets = np.linalg.det(np.swapaxes(stack, 1, 2) @ stack)
-            values[start:start + SUBSET_BATCH] = np.sqrt(np.maximum(gram_dets, 0.0))
+            values[rows] = np.sqrt(np.maximum(gram_dets, 0.0))
     return values
 
 

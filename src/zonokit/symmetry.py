@@ -12,10 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .numkit import DEFAULT_TOL, as_vector
-
-# Floats per stacked pairwise difference: bounds the temporaries of large point sets.
-PAIR_FLOATS = 1 << 16
+from .numkit import DEFAULT_TOL, as_vector, chunks
 
 
 @dataclass(eq=False)
@@ -95,8 +92,7 @@ def cone_section(points, center, t):
 
 def _within(a, b, cut):
     """(len(a), len(b)) booleans: whether a_i - b_j is at most ``cut`` in every coordinate."""
-    step = max(1, PAIR_FLOATS // max(b.size, 1))  # rows of ``a`` per stacked difference
-    return np.concatenate([np.abs(a[i:i + step, None] - b).max(axis=2) <= cut for i in range(0, len(a), step)])
+    return np.concatenate([np.abs(a[rows, None] - b).max(axis=2) <= cut for rows in chunks(len(a), 8 * b.size)])
 
 
 def _dedupe(pts, cut):

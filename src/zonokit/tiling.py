@@ -27,12 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .numkit import as_matrix, as_vector, column_subsets, column_sums, rank_census, subset_index, subset_measures
-from .numkit import omit_each, unit_columns
-
-# Bytes of floats per stacked step of the tiling checks: bounds the temporaries
-# of large tilings without splitting desk-scale ones much.
-CHUNK_BYTES = 1 << 19
+from .numkit import as_matrix, as_vector, chunks, column_subsets, column_sums, omit_each, subset_index
+from .numkit import subset_measures, subset_ranks, subsets, unit_columns
 
 
 @dataclass(eq=False)
@@ -127,11 +123,11 @@ def _lifted_tiles(matrix, census, minors, order):
     opposite to det A_B. Expanding that minor along the height row, only the
     term of the highest-placed column c of B + j whose removal leaves an
     independent subset counts, so every sign is that of an n x n minor of A.
-    ``census`` is the (subsets, ranks) pair of ``numkit.rank_census`` for the
-    n-subsets and ``minors`` their determinants in the same order
-    (``numkit.subset_measures``); independence of B + j - c is looked up
-    there by lexicographic index. Translations sum ``matrix`` columns by
-    place in ``order``.
+    ``census`` is the (subsets, ranks) pair of the n-subsets
+    (``numkit.subsets``, ``numkit.subset_ranks``) and ``minors`` their
+    determinants in the same order (``numkit.subset_measures``);
+    independence of B + j - c is looked up there by lexicographic index.
+    Translations sum ``matrix`` columns by place in ``order``.
     """
     n, k = matrix.shape
     combos, ranks = census
@@ -145,7 +141,7 @@ def _lifted_tiles(matrix, census, minors, order):
     # row m: the places of a tile other than m, so b[:, others[m]] is B - b_m
     others = omit_each(n)
     translations = np.empty((len(tiles), n))
-    for rows in _chunks(len(tiles), (k - n) * n * n):
+    for rows in chunks(len(tiles), 8 * (k - n) * n * n):
         b = tiles[rows]
         # the columns j outside each tile, in insertion order
         outside = np.broadcast_to(order, (len(rows), k))[~(order[None, :, None] == b[:, None, :]).any(axis=2)]
@@ -206,8 +202,9 @@ def cup_of_cubes(z_prefix, new_gen, new_index):
         raise DimensionError("new generator dimension mismatch")
     matrix = np.column_stack([z_prefix.matrix, g])
     local = matrix.shape[1] - 1
-    census = rank_census(unit_columns(matrix), z_prefix.n, z_prefix.tol)
-    lifted = _lifted_tiles(matrix, census, subset_measures(matrix, census[0]), list(range(local + 1)))
+    combos = subsets(local + 1, z_prefix.n)
+    census = combos, subset_ranks(unit_columns(matrix), [combos], z_prefix.tol)[0]
+    lifted = _lifted_tiles(matrix, census, subset_measures(matrix, combos), list(range(local + 1)))
     tiles = [
         Tile(
             tuple(sorted(new_index if c == local else c for c in t.columns)),
@@ -238,12 +235,6 @@ def _tile_columns(tiles, n):
 def _tile_origins(tiles, n):
     """(T, n) float array of each tile's translation."""
     return np.asarray([t.translation for t in tiles], dtype=float).reshape(len(tiles), n)
-
-
-def _chunks(count, row_floats):
-    """Index runs covering ``range(count)``, each of about CHUNK_BYTES of row floats."""
-    step = max(1, CHUNK_BYTES // (8 * max(row_floats, 1)))
-    return [np.arange(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _outside_by_corners(origins, gens, normals, bounds):
@@ -316,7 +307,7 @@ def validate_tiling(z, tiling):
     spans = rounding * np.abs(inverses).sum(axis=2).max(axis=1, initial=0.0)
     reaches = np.abs(centers).max(axis=1, initial=0.0), np.abs(origins).max(axis=1, initial=0.0)
     disjoint_violations = []
-    for rows in _chunks(tiles, tiles * n):
+    for rows in chunks(tiles, 8 * tiles * n):
         coords = (inverses[rows].reshape(-1, n) @ centers.T).reshape(len(rows), n, tiles) - own[rows]
         margin = spans[rows, None] * (reaches[0][None, :] + reaches[1][rows, None]) + underflow
         low, high = coords.min(axis=1) - eps, (1.0 - eps) - coords.max(axis=1)
@@ -351,7 +342,7 @@ def validate_tiling(z, tiling):
     rises = np.maximum(units @ matrix, 0.0).T
     sizes = np.abs(origins) + indicator @ np.abs(matrix).T
     containment_violations = []
-    for rows in _chunks(tiles, len(supports)):
+    for rows in chunks(tiles, 8 * len(supports)):
         gap = origins[rows] @ units.T + indicator[rows] @ rises - bounds[:, 0]
         margin = rounding * (sizes[rows] @ np.abs(units).T) + underflow
         outside = np.any(gap > margin, axis=1)

@@ -22,11 +22,11 @@ volumes, are built from it only on request, and ``geometric_facets`` returns
 the same records in geometric-facet order. Vertices are
 enumerated over the same closed faces: every vertex is a vertex of a facet
 plus that facet's translation set. The closed faces get their vertices a
-level at a time, one stacked pass per level: a parallel class has its two
-ends, a closed 2-face is a zonogon whose vertex cycle comes from one
-angular sort of its parallel classes, and a higher face takes the vertices
-of its closed faces one rank down plus one side of the rest. No
-sub-zonotope, candidate point or linear program is involved.
+level at a time: a parallel class has its two ends, a closed 2-face is a
+zonogon whose vertex cycle comes from one angular sort of its parallel
+classes, and a higher face takes the vertices of its closed faces one rank
+down plus one side of the rest, in stacked runs of faces within
+``numkit.CHUNK_BYTES``. No sub-zonotope, candidate point or LP is involved.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ class Zonotope:
         of ``subsets[i]``: its own columns and each j that leaves its rank s
         when added. For each (s+1)-subset T that the (s+1)-census ranks s, each
         member j of T marks column j in the row of T - j, found by its
-        lexicographic index. Runs of ``SUBSET_BATCH // (s + 1)`` dependent
-        subsets bound the index temporaries.
+        lexicographic index. Runs of dependent subsets (``numkit.chunks``)
+        bound the index temporaries.
         """
         combos, ranks = self.rank_census(s)
         above, above_ranks = self.rank_census(s + 1)
@@ -260,9 +260,8 @@ class Zonotope:
         members[np.arange(len(combos))[:, None], combos] = True
         # places, not rows: at the top level every (s+1)-subset is dependent
         dependent = np.flatnonzero(above_ranks == s)
-        step = max(1, numkit.SUBSET_BATCH // (s + 1))
-        for start in range(0, len(dependent), step):
-            chunk = above[dependent[start:start + step]]
+        for rows in numkit.chunks(len(dependent), 8 * (s + 1) * s):
+            chunk = above[dependent[rows]]
             members[numkit.subset_index(chunk[:, numkit.omit_each(s + 1)], self.k), chunk] = True
         return members[ranks == s], combos[ranks == s]
 
@@ -418,11 +417,10 @@ class Zonotope:
         the facets of a face F are the closed (s-1)-faces G properly inside
         it, and every vertex of F is a vertex of some G plus one side of F
         minus G: the columns whose residual off G's span points the way of
-        the first column's residual, or the others. Each such level is one
-        pass: one mask test finds every (F, G) pair, one stacked QR the
-        residuals off every G's generating subset, one batched matmul each
-        pair's side, one gather each G's masks, and one lexsort on (face,
-        mask) keeps each face's masks once, in ascending order.
+        the first column's residual, or the others. One stacked QR gives the
+        residuals off every G's generating subset; the rest of the level is
+        :func:`_level_vertices` over runs of faces (``numkit.chunks``) whose
+        rows are a mask-test row plus each pair's residuals and masks.
         """
         d = self.directions
         levels = {}
@@ -432,33 +430,17 @@ class Zonotope:
         elif self.rank > 2:
             levels[2] = self._cycles[:3]
         for s in range(3, self.rank):
-            below, starts, sizes = levels[s - 1]
-            whole = _masks(self._level(s)[1])
             bases, members = self._level(s - 1)
-            masks = _masks(members)
             q, _ = np.linalg.qr(numkit.column_subsets(d, bases))
             residuals = d - q @ (np.swapaxes(q, 1, 2) @ d)
-            # every closed (s-1)-face G properly inside each closed s-face F, F by F
-            face, rows = np.nonzero((masks & ~whole[:, None] == 0) & (masks != whole[:, None]))
-            rest = _columns_of(whole[face] ^ masks[rows], self.k)
-            off = residuals[rows]
-            lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
-            sides = _masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
-            # slot j of pair p: mask j of its G joined with its side
-            counts = sizes[rows]
-            pair = np.repeat(np.arange(len(rows)), counts)
-            at = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
-            half = sides[pair] | below[starts[rows][pair] + at]
-            owner = face[pair]
-            # every face is centrally symmetric: the complement of a vertex is the opposite vertex
-            signs = np.concatenate([half, whole[owner] ^ half])
-            owner = np.concatenate([owner, owner])
-            order = np.lexsort([signs, owner])
-            signs, owner = signs[order], owner[order]
-            new = np.ones(len(signs), dtype=bool)
-            new[1:] = (signs[1:] != signs[:-1]) | (owner[1:] != owner[:-1])
-            sizes = np.bincount(owner[new], minlength=len(whole))
-            levels[s] = signs[new], np.cumsum(sizes) - sizes, sizes
+            masks, faces = _masks(members), self._level(s)[1]
+            # a closed s-face's closed (s-1)-faces close distinct (s-1)-subsets of its columns
+            pairs = min(len(masks), math.comb(int(faces.sum(axis=1).max()), s - 1))
+            runs = numkit.chunks(len(faces), 8 * (len(masks) + pairs * (d.size + levels[s - 1][2].max())))
+            whole = _masks(faces)
+            signs, sizes = zip(*(_level_vertices(whole[run], masks, residuals, *levels[s - 1]) for run in runs))
+            sizes = np.concatenate(sizes)
+            levels[s] = np.concatenate(signs), np.cumsum(sizes) - sizes, sizes
         return levels
 
     def _halves(self, lines):
@@ -506,12 +488,11 @@ class Zonotope:
         second = first ^ classes[order]
         counts = inner.sum(axis=1)
         # a face's walk past its own m classes is never read
-        taken = np.arange(counts.max()) < counts[:, None]
-        v = np.bitwise_or.reduce(np.where(taken, second[:, :taken.shape[1]], 0), axis=1)
-        walk = np.empty(taken.shape, dtype=np.int64)
-        for step in range(taken.shape[1]):
-            walk[:, step] = v
-            v = (v & ~second[:, step]) | first[:, step]
+        m = counts.max()
+        taken = np.arange(m) < counts[:, None]
+        # step t ORs the first halves before t and the second halves from t on: classes share no column
+        walk = np.bitwise_or.accumulate(np.where(taken, second[:, :m], 0)[:, ::-1], axis=1)[:, ::-1]
+        walk[:, 1:] |= np.bitwise_or.accumulate(first[:, :m - 1], axis=1)
         sizes = 2 * counts
         # each face's m walk steps, then their complements in the same order
         rings = np.concatenate([walk, flats[:, None] ^ walk], axis=1)[np.concatenate([taken, taken], axis=1)]
@@ -633,6 +614,34 @@ def _cross(a, b):
     """Row-wise cross products of two (m, 3) arrays: the products and differences ``np.cross`` takes."""
     (a0, a1, a2), (b0, b1, b2) = a.T, b.T
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
+def _level_vertices(whole, masks, residuals, below, starts, sizes):
+    """(signs, sizes) of the closed faces ``whole`` from the closed faces ``masks`` one rank down.
+
+    ``residuals`` are the generators off each lower face's span and ``(below,
+    starts, sizes)`` its level. A face's masks depend only on its own pairs.
+    """
+    # every closed (s-1)-face G properly inside each closed s-face F, F by F
+    face, rows = np.nonzero((masks & ~whole[:, None] == 0) & (masks != whole[:, None]))
+    rest = _columns_of(whole[face] ^ masks[rows], residuals.shape[2])
+    off = residuals[rows]
+    lead = off[np.arange(len(rows)), :, rest.argmax(axis=1)]
+    sides = _masks(rest & (np.matmul(lead[:, None, :], off)[:, 0] > 0.0))
+    # slot j of pair p: mask j of its G joined with its side
+    counts = sizes[rows]
+    pair = np.repeat(np.arange(len(rows)), counts)
+    at = np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair]
+    half = sides[pair] | below[starts[rows][pair] + at]
+    owner = face[pair]
+    # every face is centrally symmetric: the complement of a vertex is the opposite vertex
+    signs = np.concatenate([half, whole[owner] ^ half])
+    owner = np.concatenate([owner, owner])
+    order = np.lexsort([signs, owner])
+    signs, owner = signs[order], owner[order]
+    new = np.ones(len(signs), dtype=bool)
+    new[1:] = (signs[1:] != signs[:-1]) | (owner[1:] != owner[:-1])
+    return signs[new], np.bincount(owner[new], minlength=len(whole))
 
 
 def _check_sphere(vertices, faces, tails, heads):

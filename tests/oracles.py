@@ -357,7 +357,7 @@ def lookup_closures(z, s):
     The package's face closures before they were scattered from the
     dependent (s+1)-subsets: for every rank-s subset and every column j
     outside it, the subset plus j sorted is looked up in the (s+1)-census.
-    Runs of ``SUBSET_BATCH // k`` subsets bound the index temporaries.
+    Runs of ``numkit.chunks`` bound the index temporaries.
     """
     from zonokit import numkit
 
@@ -366,14 +366,13 @@ def lookup_closures(z, s):
     base = combos[ranks == s]
     k = z.k
     members = np.empty((len(base), k), dtype=bool)
-    step = max(1, numkit.SUBSET_BATCH // k)
-    for start in range(0, len(base), step):
-        chunk = base[start:start + step]
+    for rows in numkit.chunks(len(base), 8 * k * (s + 1)):
+        chunk = base[rows]
         inside = (chunk[:, :, None] == np.arange(k)).any(axis=1)
         at, j = np.nonzero(~inside)
         grown = np.sort(np.column_stack([chunk[at], j]), axis=1)
         inside[at, j] = above[numkit.subset_index(grown, k)] == s
-        members[start:start + step] = inside
+        members[rows] = inside
     return members, base
 
 

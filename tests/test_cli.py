@@ -118,12 +118,20 @@ class TestMalformedInput:
             (["volume"], ['{"rows": 1, "data": [1, 2]}'], "{0}: JSON matrix needs rows, cols, data"),
             (["volume"], [" \n\n"], "{0}: empty matrix"),
             (["symmetry"], ['{"points": [[0, 0],\n [1, 0] [0, 1]]}'], "{0}: invalid JSON at line 2, column 9"),
+            (["volume"], ['{"rows": 1, "cols": 2, "data": [true, false]}'], "{0}: not a number: True"),
+            (["volume"], ['{"rows": 2, "cols": 2, "data": ["1", " 2 ", 3, 4]}'], "{0}: not a number: '1'"),
+            (["symmetry"], ['{"points": [[true, 0], [0, 1], [-1, 0], [0, -1]]}'], "{0}: points: not a number: True"),
+            # an integer beyond float64
+            (["volume"], ['{"rows": 1, "cols": 1, "data": [%d]}' % 10**400], "{0}: NaN/Inf not admitted: %d" % 10**400),
             (["symmetry"], ['{"segments": 5}'], "{0}: segments must be a list of [start, end] pairs"),
             (["symmetry"], ["{}"], "{0}: JSON needs a points or segments field"),
             (["congruent"], ["1 0\n0 1\n", "1 0 1\n0 1 1\n"], "matrices must have equal column counts"),
             (["root"], ["1 0 1\n0 1 1\n"], "exterior root needs a square matrix"),
         ],
-        ids=["matrix-json", "matrix-fields", "matrix-blank", "points-json", "segments", "no-field", "columns", "root"],
+        ids=[
+            "matrix-json", "matrix-fields", "matrix-blank", "points-json", "matrix-bools", "matrix-strings",
+            "points-bools", "matrix-big-int", "segments", "no-field", "columns", "root",
+        ],
     )
     def test_loader_refusals(self, argv, texts, message, tmp_path, capsys):
         paths = []

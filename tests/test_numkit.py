@@ -225,7 +225,7 @@ class TestSubsetDeterminants:
     def test_chunks_give_the_same_pairs(self, monkeypatch):
         a = np.random.default_rng(24).normal(size=(3, 8))
         whole = [numkit.subset_measures(a, numkit.subsets(8, s)).tolist() for s in (2, 3)]
-        monkeypatch.setattr(numkit, "SUBSET_BATCH", 5)
+        monkeypatch.setattr(numkit, "CHUNK_BYTES", 240)  # 5 or 3 subsets per stacked det
         assert [numkit.subset_measures(a, numkit.subsets(8, s)).tolist() for s in (2, 3)] == whole
 
     def test_size_above_rows_rejected(self):
@@ -242,11 +242,12 @@ class TestRankCensus:
                 assert numkit.subset_index(rows, k).tolist() == list(range(len(rows)))
 
     def test_ranks_equal_rank(self, monkeypatch):
-        # entries in {-1, 0, 1} tie under complete pivoting; 4 subsets per rank_batch
+        # entries in {-1, 0, 1} tie under complete pivoting; 4, 2 or 2 subsets per rank_batch
         a = np.random.default_rng(25).integers(-1, 2, size=(3, 7)).astype(float)
-        monkeypatch.setattr(numkit, "SUBSET_BATCH", 4)
+        monkeypatch.setattr(numkit, "CHUNK_BYTES", 192)
         for size in (2, 3, 4):
-            combos, ranks = numkit.rank_census(a, size)
+            combos = numkit.subsets(7, size)
+            ranks = numkit.subset_ranks(a, [combos])[0]
             assert ranks.tolist() == [rank(a[:, c]) for c in combos.tolist()]
 
     def test_column_sums_equal_one_row_sums(self):
@@ -305,7 +306,7 @@ class TestRankCensus:
             tables = [numkit.subsets(k, s) for s in sizes]
             got = numkit.subset_ranks(a, tables, tol)
             for s, ranks in zip(sizes, got):
-                assert ranks.tolist() == numkit.rank_census(a, s, tol)[1].tolist()
+                assert ranks.tolist() == numkit.subset_ranks(a, [numkit.subsets(k, s)], tol)[0].tolist()
 
 
 class TestCrossProduct:
@@ -481,7 +482,8 @@ class TestHelpers:
     def test_independent_columns(self):
         # the greedy reference picks the first independent subset of the census
         assert oracles.independent_columns(A0, Tolerance()) == [0, 1, 3]
-        combos, ranks = numkit.rank_census(A0, 3)
+        combos = numkit.subsets(A0.shape[1], 3)
+        ranks = numkit.subset_ranks(A0, [combos])[0]
         assert combos[np.argmax(ranks == 3)].tolist() == [0, 1, 3]
 
     def test_sign_normalize(self):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -152,7 +153,7 @@ class TestGeneratingFaces:
     def test_chunked_closures_give_the_same_faces(self, monkeypatch):
         z = Zonotope(np.random.default_rng(9).integers(-2, 3, size=(4, 8)).astype(float) + np.eye(4, 8))
         whole = [z.generating_faces(s) for s in range(1, 5)]
-        monkeypatch.setattr(zonokit.numkit, "SUBSET_BATCH", 20)  # 2 subsets per chunk at k = 8
+        monkeypatch.setattr(zonokit.numkit, "CHUNK_BYTES", 96)  # 1 to 6 subsets per closure run at k = 8
         z = Zonotope(z.matrix)
         assert [z.generating_faces(s) for s in range(1, 5)] == whole
 
@@ -186,10 +187,10 @@ class TestClosuresAgainstLookup:
     """The closures scattered from the dependent (s+1)-subsets equal the per-(subset, column) lookups byte for byte."""
 
     @pytest.mark.filterwarnings("ignore::zonokit.zonotope.RankDeficiencyWarning")
-    @pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
-    def test_seeded_differential(self, batch, monkeypatch):
-        if batch is not None:
-            monkeypatch.setattr(zonokit.numkit, "SUBSET_BATCH", batch)
+    @pytest.mark.parametrize("budget", [None, 1024], ids=["default-batch", "budget-1KiB"])
+    def test_seeded_differential(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(zonokit.numkit, "CHUNK_BYTES", budget)
         levels = 0
         for a, tol in closure_inputs():
             z = Zonotope(a, tol)
@@ -720,19 +721,31 @@ class TestVertices:
         except ZonokitError:
             pass  # refusing the input is an answer; only a foreign exception fails
 
-    def test_no_lp_solver_import(self):
+    def test_no_lp_solver_import(self, tmp_path):
+        # scipy is blocked before zonokit loads, so any import of it fails the run
+        matrix, square, points = (str(tmp_path / name) for name in ("a.txt", "b.txt", "p.txt"))
+        Path(matrix).write_text("\n".join(" ".join(map(repr, row)) for row in A0.tolist()) + "\n")
+        Path(square).write_text("1 0 0\n0 1 0\n0 0 1\n")
+        Path(points).write_text("1 0\n0 1\n-1 0\n0 -1\n")
+        off = str(tmp_path / "a.off")
+        commands = [["volume", matrix], ["tile", matrix], ["congruent", matrix, matrix], ["mesh", matrix, "--out", off]]
+        commands += [["root", square], ["symmetry", points]]
         script = (
-            "import sys, numpy as np, zonokit\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np, zonokit\n"
             "from zonokit import cli\n"
             f"z = zonokit.Zonotope(np.array({A0.tolist()}))\n"
             "z.vertices()\n"
             "cli.off_mesh(z)\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            f"print([cli.main(argv) for argv in {commands!r}])\n"
         )
         src = str(Path(zonokit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # in tmp_path, where tile and root write their default output files
+        argv = [sys.executable, "-c", script]
+        run = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
 
 
 def differential_matrix(rng, trial, n, k):
@@ -894,6 +907,14 @@ class TestAgainstFaceRecursion:
         assert_face_recursion_records(Zonotope(matrix, tol))
 
 
+class TestAgainstFaceRecursionInSmallRuns(TestAgainstFaceRecursion):
+    """The same at a budget that splits every vertex level above 2 of a 5 x 12 input into at least three runs."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(zonokit.numkit, "CHUNK_BYTES", 1 << 16)
+
+
 class TestVertexCount:
     """In general position a rank-r zonotope with k generators has 2 sum_{i<r} C(k-1, i) vertices."""
 
@@ -911,6 +932,32 @@ class TestVertexCount:
         hull = oracles.hull_vertex_set(masks.astype(float) @ z.matrix.T)
         assert len(hull) == 2 * sum(math.comb(11, i) for i in range(4))
         assert {tuple(np.round(v, 9)) for v in z.vertices()} == hull
+
+
+class TestChunkBudget:
+    """The vertex levels run over runs of faces inside ``numkit.CHUNK_BYTES``, whatever the level's size."""
+
+    def test_gaussian_7x16_peak(self):
+        a = np.random.default_rng(5).normal(size=(7, 16))
+        tracemalloc.start()
+        try:
+            Zonotope(a).vertices()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_small_budget_splits_every_level(self, monkeypatch):
+        # the budget of TestAgainstFaceRecursionInSmallRuns
+        z = Zonotope(np.random.default_rng(5).normal(size=(5, 12)))
+        z._cycles
+        for s in range(3, z.rank):
+            z._level(s)
+        runs, chunks = [], zonokit.numkit.chunks
+        monkeypatch.setattr(zonokit.numkit, "CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(zonokit.numkit, "chunks", lambda *args: runs.append(len(chunks(*args))) or chunks(*args))
+        z._vertex_levels
+        assert len(runs) == 2 and min(runs) >= 3
 
 
 class TestTracedNames:
