@@ -79,11 +79,13 @@ def _read(path):
 
 
 def _decode_json(text, path):
-    """The JSON value in ``text``, read from ``path``, or ParseFailure naming the line and column of a decode error."""
+    """The JSON value in ``text``, read from ``path``, or ParseFailure naming the file (and a decode error's place)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit; its advice is for programmers
+        raise ParseFailure(f"{path}: invalid JSON: {str(exc).partition(';')[0]}") from exc
 
 
 def load_matrix(path):

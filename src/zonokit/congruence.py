@@ -200,19 +200,18 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
     used = [False] * k
     taken = [False] * len(parts_a)
     placed = []
-    found = {}
 
     def match(n):
         if n == len(parts_b):
-            return _verify_assignment(a, b, perm, sgn, tol, cut, found)
+            return _verify_assignment(a, b, perm, sgn, tol, cut)
         want = sorted(cb[i] for i in parts_b[n][0])
         for m, (cols, _) in enumerate(parts_a):
             if not taken[m] and sorted(ca[c] for c in cols) == want:
                 taken[m] = True
-                if place(n, sorted(cols), 0):
-                    return True
+                if (witness := place(n, sorted(cols), 0)) is not None:
+                    return witness
                 taken[m] = False
-        return False
+        return None
 
     def place(n, cols, pos):
         order, parent = parts_b[n]
@@ -232,15 +231,13 @@ def congruent_zonotopes(a, b, tol=DEFAULT_TOL):
                 used[c] = True
                 perm[i], sgn[i] = c, s
                 placed.append(i)
-                if place(n, cols, pos + 1):
-                    return True
+                if (witness := place(n, cols, pos + 1)) is not None:
+                    return witness
                 placed.pop()
                 used[c] = False
-        return False
+        return None
 
-    if match(0):
-        return found["witness"]
-    return None
+    return match(0)
 
 
 def _joint_labels(ga, gb, cut):
@@ -317,8 +314,8 @@ def _components(labels):
     return parts
 
 
-def _verify_assignment(a, b, perm, sgn, tol, cut, found):
-    """Build Q for one signed assignment and accept it on a small residual.
+def _verify_assignment(a, b, perm, sgn, tol, cut):
+    """The witness of one signed assignment, or None: Q is built and accepted on a small residual.
 
     Q is the Procrustes map of ``find_orthogonal``, so the residual is the
     smallest any Q with orthonormal columns gives, and negating every sign
@@ -330,11 +327,10 @@ def _verify_assignment(a, b, perm, sgn, tol, cut, found):
     try:
         q = find_orthogonal(mapped, b, Tolerance(abs=max(cut, tol.abs), rel=tol.rel))
     except NoWitnessError:
-        return False
+        return None
     if np.linalg.norm(b - q @ mapped) > max(1e-8 * np.linalg.norm(b), 1e-12):
-        return False
-    found["witness"] = CongruenceWitness(tuple(perm), tuple(int(s) for s in signs), q)
-    return True
+        return None
+    return CongruenceWitness(tuple(perm), tuple(int(s) for s in signs), q)
 
 
 def _comparison_factor(m, tol):

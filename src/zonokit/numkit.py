@@ -54,24 +54,24 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _checked(x, ndims, shape, entries):
+    """Float64 copy of ``x``: DimensionError unless its ndim is in ``ndims``, ValueError on a NaN/Inf entry."""
+    a = np.array(x, dtype=float)
+    if a.ndim not in ndims:
+        raise DimensionError(f"expected {shape}, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise ValueError(f"{entries} entries must be finite")
+    return a
+
+
 def as_matrix(m):
     """Coerce to a 2-D float64 array, rejecting NaN/Inf entries."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    return _checked(m, (2,), "a 2-D matrix", "matrix")
 
 
 def as_vector(v):
     """Coerce to a 1-D float64 array, rejecting NaN/Inf entries."""
-    a = np.array(v, dtype=float)
-    if a.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
-    return a
+    return _checked(v, (1,), "a 1-D vector", "vector")
 
 
 def determinant(m):
@@ -120,11 +120,7 @@ def rank_batch(stack, tol=DEFAULT_TOL):
     all slices at once. A slice leaves the stack at its first pivot under the
     cut, so no division by a small pivot happens.
     """
-    a = np.array(stack, dtype=float)
-    if a.ndim != 3:
-        raise DimensionError(f"expected a (B, m, p) stack, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = _checked(stack, (3,), "a (B, m, p) stack", "matrix")
     ranks = np.zeros(a.shape[0], dtype=int)
     if a.size == 0:
         return ranks
@@ -198,6 +194,11 @@ def chunks(count, row_bytes):
     return [np.arange(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def within(a, b, cut):
+    """(len(a), len(b)) booleans, in runs of :func:`chunks`: is a_i - b_j at most ``cut`` in every coordinate."""
+    return np.concatenate([np.abs(a[rows, None] - b).max(axis=2) <= cut for rows in chunks(len(a), 8 * b.size)])
+
+
 def subset_ranks(m, tables, tol=DEFAULT_TOL):
     """Rank of ``m[:, row]`` for every row of every (B, s) subset table, one int array per table.
 
@@ -253,22 +254,30 @@ def column_sums(m, columns, mask):
 
 
 def cross_product(vectors):
-    """Generalized cross product of n-1 vectors in R^n.
+    """Generalized cross product of n-1 vectors in R^n, or of each column set of an (F, n, n-1) array.
 
     Component i is (-1)^i times the minor of the n x (n-1) stack obtained by
     deleting row i (0-based). The output is orthogonal to every input and its
-    norm is the (n-1)-volume of the parallelotope the inputs span.
+    norm is the (n-1)-volume of the parallelotope the inputs span. An array
+    gives one row per column set, its minors stacked in runs of
+    :func:`chunks`; each row is bit-identical to the call on that set alone.
     """
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
+    stacked = isinstance(vectors, np.ndarray) and vectors.ndim == 3
+    vs = [] if stacked else [as_vector(v) for v in vectors]
+    if not (stacked or vs):
         raise DimensionError("cross_product needs at least one vector")
-    n = vs[0].size
-    if n < 2 or len(vs) != n - 1:
-        raise DimensionError(f"need exactly n-1 vectors of dimension n >= 2, got {len(vs)} in dim {n}")
+    _, n, count = vectors.shape if stacked else (1, vs[0].size, len(vs))
+    if n < 2 or count != n - 1:
+        raise DimensionError(f"need exactly n-1 vectors of dimension n >= 2, got {count} in dim {n}")
     if any(v.size != n for v in vs):
         raise DimensionError("cross_product inputs must share one dimension")
-    minors = np.linalg.det(np.column_stack(vs)[omit_each(n)])
-    return np.where(np.arange(n) % 2 == 1, -minors, minors)
+    stack = _checked(vectors, (3,), "an (F, n, n-1) stack", "vector") if stacked else np.column_stack(vs)[None]
+    # C-ordered rows, which later BLAS dots read contiguously
+    normals = np.empty(stack.shape[:2])
+    for rows in chunks(len(stack), 8 * n * (n - 1) ** 2):
+        normals[rows] = np.linalg.det(stack[rows][:, omit_each(n)])
+    np.negative(normals[:, 1::2], out=normals[:, 1::2])
+    return normals if stacked else normals[0]
 
 
 def gram(m):
@@ -300,27 +309,29 @@ def omit_each(n):
     return (np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])).reshape(n, max(n - 1, 0))
 
 
-def _minor_matrix(a, signed):
-    """All n^2 minors as one determinant of an (n, n, n-1, n-1) stack; for n = 1 each is 1."""
-    n = a.shape[0]
-    others = omit_each(n)
-    minors = np.linalg.det(a[others[:, None, :, None], others[None, :, None, :]]).reshape(n, n)
-    if not signed:
-        return minors
-    parity = (n + np.arange(n)[:, None] + np.arange(n)) % 2
-    return np.where(parity == 1, -minors, minors)
-
-
 def compound(m):
-    """Matrix of (n-1) x (n-1) minors: entry (i,j) omits row i and column j."""
+    """Matrix of (n-1) x (n-1) minors: entry (i,j) omits row i and column j; one stacked determinant."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"compound needs a square matrix, got {a.shape}")
-    return _minor_matrix(a, signed=False)
+    others = omit_each(a.shape[0])
+    return np.linalg.det(a[others[:, None, :, None], others[None, :, None, :]])
+
+
+def resign_for_compound(b):
+    """Entrywise (-1)^(n+i+j) re-signing linking the two minor conventions."""
+    return _resign(as_matrix(b))
+
+
+def _resign(b):
+    """``b`` with entry (i, j) negated where n + i + j is odd (an overflowed minor stays infinite)."""
+    n = b.shape[0]
+    parity = (n + np.arange(n)[:, None] + np.arange(n)) % 2
+    return np.where(parity == 1, -b, b)
 
 
 def signed_compound(m):
-    """Sign-alternating minor matrix: entry (i,j) = (-1)^(n+i+j) * minor(i,j).
+    """Sign-alternating minor matrix: entry (i,j) = (-1)^(n+i+j) * minor(i,j), ``resign_for_compound(compound(m))``.
 
     Equals (-1)^n times the cofactor matrix. Column j is, up to the sign
     (-1)^(n+j+1), the cross product of the columns of m with column j omitted,
@@ -330,7 +341,7 @@ def signed_compound(m):
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"signed_compound needs a square matrix, got {a.shape}")
-    return _minor_matrix(a, signed=True)
+    return _resign(compound(a))
 
 
 def subset_measures(m, subsets):
@@ -362,11 +373,7 @@ def sign_normalize(v, tol=DEFAULT_TOL):
     A 2-D ``v`` is a stack of rows, each normalized on its own with the cut
     taken from its own largest entry.
     """
-    a = np.array(v, dtype=float)
-    if a.ndim not in (1, 2):
-        raise DimensionError(f"expected a vector or a stack of rows, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
+    a = _checked(v, (1, 2), "a vector or a stack of rows", "vector")
     if not a.size:
         return a
     rows = a.reshape(-1, a.shape[-1])

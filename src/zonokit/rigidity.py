@@ -4,7 +4,8 @@ facet-signature congruence check, which certifies through
 
 The key identity: for square A, the unsigned minor matrix satisfies
 minors(A) = D cof(A) D with D = diag((-1)^i), so minors(A) = b solves to
-A = det(A) * (D b^T D)^-1 with det(A)^(n-1) = det(b).
+A = det(A) * (D b^T D)^-1 with det(A)^(n-1) = det(b). The minor kernels
+(``compound``, ``resign_for_compound``) and the facet matcher (``within``) are ``numkit``'s.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     NoRealRootError,
     ReconstructionError,
 )
-from .numkit import DEFAULT_TOL, as_matrix, as_vector, compound, rank
+from .numkit import DEFAULT_TOL, as_matrix, as_vector, compound, rank, resign_for_compound, within
 from .zonotope import Zonotope, signatures_match
 
 ROOT_RESIDUAL_LIMIT = 1e-8
@@ -62,14 +63,6 @@ class SignatureCongruenceReport:
     witness: Optional[congruence.CongruenceWitness]
     aligned_equal: bool
     note: str = ""
-
-
-def resign_for_compound(b):
-    """Entrywise (-1)^(n+i+j) re-signing linking the two minor conventions."""
-    b = as_matrix(b)
-    n = b.shape[0]
-    d = (-1.0) ** np.arange(n)
-    return ((-1.0) ** n) * np.outer(d, d) * b
 
 
 def _root_for(bs, n, tol):
@@ -162,21 +155,13 @@ def _verify_facet_data(a, data, tol):
     scale = max(d.volume for d in data)
     vcut = max(16.0 * tol.threshold(scale), 1e-9 * scale)
     ncut = max(16.0 * tol.threshold(1.0), 1e-9)
-    for d in data:
-        hits = [
-            f
-            for f in facets
-            if min(
-                np.abs(f.unit_normal - d.unit_normal).max(),
-                np.abs(f.unit_normal + d.unit_normal).max(),
-            )
-            <= ncut
-            and abs(f.volume - d.volume) <= vcut
-        ]
-        if len(hits) != 2:
-            raise ReconstructionError(
-                "reconstructed facets do not reproduce the requested data"
-            )
+    normals = np.array([d.unit_normal for d in data])
+    units = np.array([f.unit_normal for f in facets])
+    gaps = np.array([f.volume for f in facets]) - np.array([d.volume for d in data])[:, None]
+    # datum i hits facet j when its normal or its negation and its volume lie within the cuts
+    hits = (within(normals, units, ncut) | within(normals, -units, ncut)) & (np.abs(gaps) <= vcut)
+    if (hits.sum(axis=1) != 2).any():
+        raise ReconstructionError("reconstructed facets do not reproduce the requested data")
 
 
 def minkowski_balance(data):

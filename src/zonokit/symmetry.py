@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .numkit import DEFAULT_TOL, as_vector, chunks
+from .numkit import DEFAULT_TOL, as_vector, within
 
 
 @dataclass(eq=False)
@@ -90,14 +90,9 @@ def cone_section(points, center, t):
     return t * c + (1.0 - t) * pts
 
 
-def _within(a, b, cut):
-    """(len(a), len(b)) booleans: whether a_i - b_j is at most ``cut`` in every coordinate."""
-    return np.concatenate([np.abs(a[rows, None] - b).max(axis=2) <= cut for rows in chunks(len(a), 8 * b.size)])
-
-
 def _dedupe(pts, cut):
     """The rows of ``pts`` not within ``cut`` of an earlier kept row, in order."""
-    close = _within(pts, pts, cut)
+    close = within(pts, pts, cut)
     keep = np.ones(len(pts), dtype=bool)
     # in order, each kept row with later rows close to it drops them
     for i in np.flatnonzero(np.triu(close, 1).any(axis=1)).tolist():
@@ -118,7 +113,7 @@ def central_center(points, tol=DEFAULT_TOL):
     unique = _dedupe(pts, cut)
     c = np.mean(unique, axis=0)
     images = 2.0 * c - unique
-    missing = ~_within(images, unique, cut).any(axis=1)
+    missing = ~within(images, unique, cut).any(axis=1)
     if missing.any():
         i = int(missing.argmax())
         return SymmetryReport(False, None, (unique[i], images[i]), "missing reflected point")

@@ -16,10 +16,11 @@ its boolean row of member columns, which the facets, zones, parallel classes
 built only by :meth:`Zonotope.generating_faces`. Each closed
 (rank-1)-dimensional generating face gives exactly one opposite pair of
 facets. The facet table (:class:`FacetTable`) holds every facet side's
-normal, translation set, translation and support as stacked arrays; the
-``BoundingFacet`` records, which add translation-set tuples and facet
-volumes, are built from it only on request, and ``geometric_facets`` returns
-the same records in geometric-facet order. Vertices are
+normal (one stacked ``numkit.cross_product``), translation set, translation
+and support as stacked arrays; the ``BoundingFacet`` records, which add
+translation-set tuples and facet volumes, are built from it only on request,
+and ``geometric_facets`` returns them in geometric-facet order;
+``signatures_match`` pairs signatures through ``numkit.within``. Vertices are
 enumerated over the same closed faces: every vertex is a vertex of a facet
 plus that facet's translation set. The closed faces get their vertices a
 level at a time: a parallel class has its two ends, a closed 2-face is a
@@ -330,7 +331,7 @@ class Zonotope:
         # one BLAS matrix-vector or dot call per row, as a loop over the faces
         # would, so every value is bit-identical to the one-face computation.
         with np.errstate(over="ignore", invalid="ignore"):
-            normals = _facet_normals(coords, bases)
+            normals = numkit.cross_product(numkit.column_subsets(coords, bases))
             if basis is not None:
                 normals = np.matmul(basis, normals[:, :, None])[:, :, 0]
             lengths = np.sqrt(_rowdot(normals, normals))
@@ -656,18 +657,6 @@ def _check_sphere(vertices, faces, tails, heads):
         raise MeshSurfaceError(f"the facet polygons are not a sphere: V - E + F = {euler}{unpaired}")
 
 
-def _facet_normals(coords, bases):
-    """Cross product of each face's generating (r-1)-subset, one row per face.
-
-    Component i of every normal is (-1)^i times the minor with row i deleted,
-    all of them one stacked determinant.
-    """
-    r = coords.shape[0]
-    # a C-ordered stack gives C-ordered normals, whose rows later BLAS dots read contiguously
-    minors = np.linalg.det(np.ascontiguousarray(numkit.column_subsets(coords, bases)[:, numkit.omit_each(r)]))
-    return np.where(np.arange(r) % 2 == 1, -minors, minors)
-
-
 def _face_volumes(matrix, faces, d):
     """d-volume of the sub-zonotope on each column tuple in ``faces``, as an array.
 
@@ -689,16 +678,22 @@ def _face_volumes(matrix, faces, d):
 
 
 def signatures_match(sig1, sig2, tol=DEFAULT_TOL):
-    """Whether two facet signatures agree entrywise within tolerance."""
+    """Whether two facet signatures agree entrywise within tolerance.
+
+    In order, each entry of ``sig1`` takes the first unused entry of ``sig2`` whose normal is
+    within ``tol.threshold(1.0)`` in every coordinate and whose volume is ``tol.close`` to its own.
+    """
     if len(sig1) != len(sig2):
         return False
-    cut = tol.threshold(1.0)
-    used = [False] * len(sig2)
-    for normal, vol in sig1:
-        for j, (normal2, vol2) in enumerate(sig2):
-            if not used[j] and np.max(np.abs(np.asarray(normal) - np.asarray(normal2))) <= cut and tol.close(vol, vol2):
-                used[j] = True
-                break
-        else:
+    if not sig1:
+        return True
+    (normals1, volumes1), (normals2, volumes2) = (map(np.array, zip(*sig)) for sig in (sig1, sig2))
+    bound = tol.abs + tol.rel * np.maximum(np.abs(volumes1)[:, None], np.abs(volumes2))
+    candidates = numkit.within(normals1, normals2, tol.threshold(1.0)) & (np.abs(volumes1[:, None] - volumes2) <= bound)
+    used = np.zeros(len(sig2), dtype=bool)
+    for row in candidates:
+        free = row & ~used
+        if not free.any():
             return False
+        used[free.argmax()] = True
     return True

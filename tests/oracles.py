@@ -247,11 +247,10 @@ def backtrack_congruent(a, b, tol):
     perm = [0] * k
     sgn = [0.0] * k
     used = [False] * k
-    found = {}
 
     def extend(pos):
         if pos == k:
-            return _verify_assignment(a, b, perm, sgn, tol, cut, found)
+            return _verify_assignment(a, b, perm, sgn, tol, cut)
         i = order[pos]
         for c in range(k):
             if used[c] or abs(ga[c, c] - gb[i, i]) > cut:
@@ -267,14 +266,12 @@ def backtrack_congruent(a, b, tol):
                     continue
                 used[c] = True
                 perm[i], sgn[i] = c, s
-                if extend(pos + 1):
-                    return True
+                if (witness := extend(pos + 1)) is not None:
+                    return witness
                 used[c] = False
-        return False
+        return None
 
-    if extend(0):
-        return found["witness"]
-    return None
+    return extend(0)
 
 
 # -- loop references for the stacked face, facet and tiling passes -----------
@@ -411,6 +408,21 @@ def independent_columns(m, tol):
         if rank(a[:, picked + [j]], tol) == len(picked) + 1:
             picked.append(j)
     return picked
+
+
+def facet_normals(coords, bases):
+    """Cross product of each face's generating (r-1)-subset, one row per face.
+
+    Component i of every normal is (-1)^i times the minor with row i deleted,
+    all of them one stacked determinant. (The package's own facet normals
+    before ``numkit.cross_product`` took stacks in chunked runs.)
+    """
+    from zonokit import numkit
+
+    r = coords.shape[0]
+    # a C-ordered stack gives C-ordered normals, whose rows later BLAS dots read contiguously
+    minors = np.linalg.det(np.ascontiguousarray(numkit.column_subsets(coords, bases)[:, numkit.omit_each(r)]))
+    return np.where(np.arange(r) % 2 == 1, -minors, minors)
 
 
 def loop_bounding_facets(z):

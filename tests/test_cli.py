@@ -123,6 +123,12 @@ class TestMalformedInput:
             (["symmetry"], ['{"points": [[true, 0], [0, 1], [-1, 0], [0, -1]]}'], "{0}: points: not a number: True"),
             # an integer beyond float64
             (["volume"], ['{"rows": 1, "cols": 1, "data": [%d]}' % 10**400], "{0}: NaN/Inf not admitted: %d" % 10**400),
+            # an integer past Python's int string-conversion digit limit (4300 digits)
+            (
+                ["volume"],
+                ['{"rows": 1, "cols": 1, "data": [%s]}' % ("9" * 5001)],
+                "{0}: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits",
+            ),
             (["symmetry"], ['{"segments": 5}'], "{0}: segments must be a list of [start, end] pairs"),
             (["symmetry"], ["{}"], "{0}: JSON needs a points or segments field"),
             (["congruent"], ["1 0\n0 1\n", "1 0 1\n0 1 1\n"], "matrices must have equal column counts"),
@@ -130,7 +136,7 @@ class TestMalformedInput:
         ],
         ids=[
             "matrix-json", "matrix-fields", "matrix-blank", "points-json", "matrix-bools", "matrix-strings",
-            "points-bools", "matrix-big-int", "segments", "no-field", "columns", "root",
+            "points-bools", "matrix-big-int", "matrix-digit-limit", "segments", "no-field", "columns", "root",
         ],
     )
     def test_loader_refusals(self, argv, texts, message, tmp_path, capsys):

@@ -479,7 +479,7 @@ class TestProcrustesWitness:
             assignments = [(sigma, signs), oracles.random_signed_permutation(rng, k)]
             for perm, sgn in assignments:
                 verdicts = [
-                    congruence._verify_assignment(a, b, list(perm), list(s * sgn), tol, cut, {})
+                    congruence._verify_assignment(a, b, list(perm), list(s * sgn), tol, cut) is not None
                     for s in (1.0, -1.0)
                 ]
                 assert verdicts[0] == verdicts[1]

@@ -353,6 +353,31 @@ class TestCrossProduct:
             want = [float(x) for x in oracles.exact_cross(vs)]
             assert np.allclose(cross_product(vs), want)
 
+    @pytest.mark.parametrize("budget", [numkit.CHUNK_BYTES, 600])
+    def test_stack_equals_one_det_and_each_set(self, budget, monkeypatch):
+        # 600 bytes: from 37 sets per run at n = 2 down to one at n >= 5
+        monkeypatch.setattr(numkit, "CHUNK_BYTES", budget)
+        rng = np.random.default_rng(1225)
+        for trial in range(120):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(n, n + 4))
+            coords = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 3 == 1:
+                coords = rng.integers(-2, 3, size=(n, k)).astype(float)
+            bases = numkit.subsets(k, n - 1)
+            bases = bases[np.sort(rng.choice(len(bases), size=min(len(bases), 12), replace=False))]
+            got = cross_product(numkit.column_subsets(coords, bases))
+            assert got.flags.c_contiguous
+            assert got.tobytes() == oracles.facet_normals(coords, bases).tobytes()
+            for row, base in zip(got, bases):
+                assert row.tobytes() == cross_product([coords[:, j] for j in base]).tobytes()
+
+    def test_stack_shape_refused(self):
+        with pytest.raises(DimensionError, match="got 3 in dim 3"):
+            cross_product(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            cross_product(np.full((2, 3, 2), np.nan))
+
 
 class TestGram:
     def test_identity(self):
